@@ -1,25 +1,33 @@
-"""Packet-vs-scalar engine benchmark (standalone script).
+"""Batched-vs-scalar engine benchmark (standalone script).
 
-Renders the same frame with the scalar per-ray tracer and the vectorized
-ray-packet engine, reports rays/s for both, and checks the parity
-contract: packet images must match scalar images within ``--tolerance``
-(default 1e-9) per channel, and the parity-matched functional counters
-(``n_rays``, ``blended_total``, ``rays_terminated_early``) must agree
-exactly.  Unlike the figure benchmarks in this directory (which run
-under ``pytest --benchmark-only``), this is a plain script::
+Renders the same frame with the scalar per-ray tracer and the batched
+wavefront engine, reports rays/s for both, and checks the batched
+engine's contract on every run:
+
+* images match the scalar images within ``--tolerance`` (default 1e-9)
+  per channel, and the parity-matched functional counters (``n_rays``,
+  ``blended_total``, ``rays_terminated_early``) agree exactly;
+* the batched renders populate all four per-phase histograms
+  (``rt.phase.{bin,traversal,intersect,blend}``) — the phase breakdown
+  is part of the engine's observability surface, so a refactor that
+  silently drops one fails the benchmark.
+
+Unlike the figure benchmarks in this directory (which run under
+``pytest --benchmark-only``), this is a plain script::
 
     python benchmarks/bench_packet_vs_scalar.py [--size 64] [--check]
 
-Parity failures always exit non-zero (parity is the engine's contract,
-report run or not); ``--check`` additionally gates on speed, failing
-when the packet speedup is below ``--min-speedup`` (default 3x, the
-acceptance bar on the default 64x64 scene; CI runs a tiny scene with
-``--min-speedup 2``).  ``--structure`` selects the acceleration
-structure: the monolithic proxies *or* the two-level ``tlas+*``
-structures the packet engine now covers end-to-end.  Results go to
+Contract failures always exit non-zero, report run or not; ``--check``
+additionally gates on speed, failing when the batched speedup is below
+``--min-speedup`` (default 3x, the acceptance bar on the default 64x64
+scene; CI runs tiny scenes with ``--min-speedup 2``, among them a deep
+20-tri tree at ``--scale 0.02``).  ``--structure`` selects the
+acceleration structure: the monolithic proxies *or* the two-level
+``tlas+*`` structures.  Results go to
 ``benchmarks/results/packet_vs_scalar_{tlas,mono}.txt`` plus a
 machine-readable ``BENCH_packet_tlas.json`` (two-level runs) /
-``BENCH_packet_mono.json`` (monolithic runs).
+``BENCH_packet_mono.json`` (monolithic runs), each with the phase
+seconds of its batched renders.
 """
 
 from __future__ import annotations
@@ -42,13 +50,17 @@ from bench_schema import write_bench_json
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: Functional counters the packet engine must reproduce exactly.
+#: Functional counters the batched engine must reproduce exactly.
 PARITY_COUNTERS = ("n_rays", "blended_total", "rays_terminated_early")
+
+#: Per-phase histograms the batched engine must populate while tracing.
+PHASE_METRICS = ("rt.phase.bin", "rt.phase.traversal",
+                 "rt.phase.intersect", "rt.phase.blend")
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
-        description="rays/s and image parity: packet vs scalar engine")
+        description="rays/s and image parity: batched vs scalar engine")
     parser.add_argument("--scene", default="train")
     parser.add_argument("--size", type=int, default=64,
                         help="image width=height (default 64)")
@@ -66,12 +78,25 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--tolerance", type=float, default=1e-9,
                         help="max per-channel image difference allowed")
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="packet speedup required by --check")
+                        help="batched speedup required by --check")
     parser.add_argument("--check", action="store_true",
                         help="also gate on speed: exit non-zero when the "
-                             "speedup is below --min-speedup (parity "
+                             "speedup is below --min-speedup (contract "
                              "failures exit non-zero regardless)")
     return parser.parse_args(argv)
+
+
+def _phase_totals() -> dict[str, tuple[int, float]]:
+    """(sample count, seconds) of each phase histogram so far."""
+    from repro.obs import get_registry
+
+    registry = get_registry()
+    totals = {}
+    for name in PHASE_METRICS:
+        histogram = registry.histogram(name)
+        totals[name] = ((histogram.count, histogram.sum)
+                        if histogram is not None else (0, 0.0))
+    return totals
 
 
 def run_mode(cloud, structure, camera, mode: str, k: int) -> dict:
@@ -83,26 +108,37 @@ def run_mode(cloud, structure, camera, mode: str, k: int) -> dict:
     n_rays = camera.width * camera.height
     timings = {}
     results = {}
-    for engine in ("scalar", "packet"):
+    # The batched engine renders last, so the phase deltas around its
+    # render are its own.
+    for engine in ("scalar", "wavefront"):
         renderer = GaussianRayTracer(cloud, structure, config, engine=engine)
         assert renderer.engine_active == engine
+        before = _phase_totals()
         t0 = time.perf_counter()
         results[engine] = renderer.render(camera, keep_traces=False)
         timings[engine] = time.perf_counter() - t0
-    scalar, packet = results["scalar"], results["packet"]
+    after = _phase_totals()
+    scalar, batched = results["scalar"], results["wavefront"]
     counters_ok = all(
-        getattr(scalar.stats, name) == getattr(packet.stats, name)
+        getattr(scalar.stats, name) == getattr(batched.stats, name)
         for name in PARITY_COUNTERS
     )
     return {
         "mode": mode,
         "scalar_s": timings["scalar"],
-        "packet_s": timings["packet"],
+        "wavefront_s": timings["wavefront"],
         "scalar_rps": n_rays / timings["scalar"],
-        "packet_rps": n_rays / timings["packet"],
-        "speedup": timings["scalar"] / timings["packet"],
-        "max_diff": float(np.abs(scalar.image - packet.image).max()),
+        "wavefront_rps": n_rays / timings["wavefront"],
+        "speedup": timings["scalar"] / timings["wavefront"],
+        "max_diff": float(np.abs(scalar.image - batched.image).max()),
         "counters_ok": counters_ok,
+        # Seconds per phase of the batched render; a phase with no
+        # sample is reported as None.
+        "phase_s": {
+            name: (after[name][1] - before[name][1]
+                   if after[name][0] > before[name][0] else None)
+            for name in PHASE_METRICS
+        },
     }
 
 
@@ -125,16 +161,16 @@ def main(argv: list[str] | None = None) -> int:
         rows.append([
             m["mode"],
             f"{m['scalar_rps']:.0f}",
-            f"{m['packet_rps']:.0f}",
+            f"{m['wavefront_rps']:.0f}",
             f"{m['speedup']:.2f}x",
             f"{m['max_diff']:.2e}",
             "exact" if m["counters_ok"] else "MISMATCH",
         ])
 
     report = format_table(
-        f"packet vs scalar: {args.scene} {args.size}x{args.size} "
+        f"wavefront vs scalar: {args.scene} {args.size}x{args.size} "
         f"{args.structure} k={args.k} ({len(cloud)} gaussians)",
-        ["mode", "scalar rays/s", "packet rays/s", "speedup",
+        ["mode", "scalar rays/s", "wavefront rays/s", "speedup",
          "max |diff|", "counters"],
         rows,
     )
@@ -173,6 +209,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.tolerance:.0e}")
         if not m["counters_ok"]:
             failures.append(f"{m['mode']}: functional counters diverge")
+        for name, seconds in m["phase_s"].items():
+            if seconds is None:
+                failures.append(
+                    f"{m['mode']}: phase histogram {name} received no "
+                    "samples")
         if args.check and m["speedup"] < args.min_speedup:
             failures.append(
                 f"{m['mode']}: speedup {m['speedup']:.2f}x below "

@@ -1,10 +1,10 @@
-"""Timing-pipeline benchmark: packet-order traces + vectorized replay.
+"""Timing-pipeline benchmark: batched-engine traces + vectorized replay.
 
 Measures the paper campaign's measurement pipeline — fetch-trace
 production plus :func:`repro.hwsim.replay` — on the fig13/14 trace
 configurations (Baseline = monolithic 20-tri, GRTX-SW = tlas+20-tri),
 comparing the pre-refactor path (scalar tracer + the per-event
-:func:`repro.hwsim.replay_reference` loop) with the new one (packet
+:func:`repro.hwsim.replay_reference` loop) with the new one (batched
 trace recorder + batched replay).  Unlike the figure benchmarks in this
 directory (which run under ``pytest --benchmark-only``), this is a
 plain script::
@@ -100,13 +100,13 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
 
     t0 = time.perf_counter()
     packet = GaussianRayTracer(cloud, structure, config,
-                               engine="packet").render(
+                               engine="wavefront").render(
         camera, keep_traces=True)
     t_packet_trace = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     plain = GaussianRayTracer(cloud, structure, config,
-                              engine="packet").render(
+                              engine="wavefront").render(
         camera, keep_traces=False)
     t_packet_plain = time.perf_counter() - t0
     del plain
@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
          "replay speedup", "replay ev/s", "e2e speedup", "parity"],
         rows,
         notes="old = scalar trace + reference replay; "
-              "new = packet recorder + batched replay",
+              "new = batched recorder + batched replay",
     )
     print(report)
     RESULTS_DIR.mkdir(exist_ok=True)

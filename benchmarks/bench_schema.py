@@ -43,12 +43,10 @@ HEADLINES: dict[str, tuple[str, str, str]] = {
     "pool": ("persistent-pool speedup", "pool_reuse.speedup", "{:.2f}x"),
     # Mode-keyed paths: measurements.0.* depends on --modes order, so
     # the headlines resolve through the summary section instead.
-    "packet_mono": ("packet speedup (mono)",
+    "packet_mono": ("batched speedup (mono)",
                     "summary.multiround.speedup", "{:.2f}x"),
-    "packet_tlas": ("packet speedup (tlas)",
+    "packet_tlas": ("batched speedup (tlas)",
                     "summary.multiround.speedup", "{:.2f}x"),
-    "wavefront": ("wavefront speedup vs packet",
-                  "summary.multiround.speedup_vs_packet", "{:.2f}x"),
     "replay": ("campaign e2e speedup",
                "campaign.e2e_speedup", "{:.2f}x"),
     "serve_throughput": ("serve throughput",

@@ -64,15 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="optimization mode (grtx-hw/grtx enable checkpointing)")
     render.add_argument("--engine", default="auto",
                         choices=["scalar", "packet", "wavefront", "auto"],
-                        help="tracing engine: per-ray scalar (full feature set, "
-                             "fetch traces for the timing model), vectorized "
-                             "ray packets, frame-wide breadth-first wavefront "
-                             "(both batch engines cover both structure "
-                             "families, no checkpointing; unsupported "
-                             "combinations fall back to scalar with a "
-                             "warning), or auto (default: wavefront for "
-                             "frame-sized batches, packet for smaller ones, "
-                             "scalar otherwise)")
+                        help="tracing engine: per-ray scalar (full feature "
+                             "set, including checkpointing), the batched "
+                             "breadth-first wavefront engine (both structure "
+                             "families, fetch traces, no checkpointing; "
+                             "unsupported combinations fall back to scalar "
+                             "with a warning; packet is an alias), or auto "
+                             "(default: wavefront whenever it covers the "
+                             "structure and mode, scalar otherwise)")
     render.add_argument("--size", type=int, default=32, help="image width=height")
     render.add_argument("--k", type=int, default=8, help="k-buffer capacity")
     render.add_argument("--scale", type=float, default=1 / 400.0,
@@ -320,10 +319,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     camera = _make_camera(args.camera, cloud, args.size)
     from repro.rt import resolve_engine
 
-    # Resolve auto (and count/warn an explicit packet degrade) once,
+    # Resolve auto (and count/warn an explicit batched degrade) once,
     # then pass the concrete engine down so nothing re-resolves.
-    engine_active = resolve_engine(args.engine, structure, config,
-                                   n_rays=args.size * args.size)
+    engine_active = resolve_engine(args.engine, structure, config)
     if tiles:
         from repro.serve import TileScheduler
 

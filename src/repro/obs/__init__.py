@@ -21,7 +21,7 @@ One subsystem gives the whole stack its measurement substrate:
 Metric naming: dotted ``subsystem.metric`` (``serve.latency``,
 ``pool.tasks_completed``, ``rt.phase.traversal``). Span naming mirrors
 it (``serve.request``, ``tiles.tile``, ``worker.tile``,
-``rt.packet.trace``). Gauges inside a snapshot are namespaced
+``rt.wavefront.trace``). Gauges inside a snapshot are namespaced
 ``gauge.<name>`` so they can never shadow a counter.
 """
 

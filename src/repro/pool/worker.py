@@ -17,8 +17,8 @@ Two task kinds exist:
   (:class:`~repro.bvh.flatten.FlatStructure`) and the engine is always
   concrete (``auto`` resolves in the parent): a worker builds either
   tracing engine straight from the one layout. When the task asks for
-  fetch traces, both engines record them (the packet engine through its
-  trace recorder) and the per-ray ``RayTrace`` streams ship back inside
+  fetch traces, both engines record them (the batched engine through
+  its trace recorder) and the per-ray ``RayTrace`` streams ship back inside
   the tile's ``BundleResult``.
 * ``"call"`` — run an arbitrary picklable ``fn(*args, **kwargs)``. This
   is what the eval campaign fans out; workers keep their module state
@@ -28,7 +28,7 @@ Two task kinds exist:
 Results carry the worker-measured execution seconds, which feed the
 cost-aware tile splitter in :mod:`repro.pool.costs`, plus an
 observability delta: whatever the task recorded into the worker's
-:mod:`repro.obs` registry (packet fallbacks, per-phase engine timings)
+:mod:`repro.obs` registry (engine fallbacks, per-phase engine timings)
 and any trace spans, collected-and-reset per task so each result ships
 exactly the measurements of its own task. The parent folds the delta
 into its registry — worker-side metrics were previously lost entirely

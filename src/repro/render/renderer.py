@@ -136,16 +136,12 @@ class RenderResult:
 
 
 #: Engines a renderer can trace with.  ``"scalar"`` is the per-ray
-#: Python tracer (full feature set, per-ray fetch traces); ``"packet"``
-#: is the numpy-vectorized ray-packet engine (both structure families,
-#: multiround/singleround, no fetch traces), parity-matched to the
-#: scalar images within 1e-9 per channel; ``"wavefront"`` batches the
-#: whole ray set breadth-first through the same kernels (same parity
-#: contract, built for frame-sized batches); ``"auto"`` picks a batch
-#: engine whenever one covers the (structure, config) pair — the
-#: wavefront engine when the batch is frame-sized (``n_rays`` hint
-#: reaches :func:`repro.rt.packet.resolve_engine`), the packet engine
-#: otherwise — and the scalar tracer when neither applies.
+#: Python tracer (full feature set, including GRTX-HW checkpointing);
+#: ``"wavefront"`` is the batched breadth-first engine (both structure
+#: families, multiround/singleround, per-ray fetch traces), parity-matched
+#: to the scalar images within 1e-9 per channel; ``"packet"`` is an alias
+#: of ``"wavefront"``; ``"auto"`` picks the batched engine whenever it
+#: covers the (structure, config) pair and the scalar tracer otherwise.
 ENGINES = ("scalar", "packet", "wavefront", "auto")
 
 
@@ -161,19 +157,14 @@ class GaussianRayTracer:
     config:
         Tracing configuration (k, multi/single round, checkpointing, ...).
     engine:
-        ``"scalar"`` (default), ``"packet"``, ``"wavefront"`` or
-        ``"auto"``.  The batch engines cover both structure families
-        without checkpointing; an explicit ``"packet"``/``"wavefront"``
-        on an unsupported combination falls back to the scalar tracer —
-        counted by :func:`repro.rt.packet.packet_fallback_count` and
+        ``"scalar"`` (default), ``"wavefront"`` (alias ``"packet"``)
+        or ``"auto"``.  The batched engine covers both structure
+        families without checkpointing; an explicit batched engine on
+        an unsupported combination falls back to the scalar tracer —
+        counted by the registry counter ``rt.packet_fallbacks`` and
         warned about once per reason — while ``"auto"`` silently picks
-        whichever engine covers the pair: the wavefront engine when
-        ``n_rays`` says the batch is frame-sized, the packet engine
-        otherwise (``engine_active`` reports the choice).
-    n_rays:
-        Optional batch-size hint for ``"auto"`` (callers that know the
-        frame resolution pass ``width * height``); without it ``"auto"``
-        resolves to the packet engine as before.
+        whichever engine covers the pair (``engine_active`` reports the
+        choice).
 
     ``structure`` may also be an already-flattened
     :class:`~repro.bvh.flatten.FlatStructure` (what pool workers
@@ -186,7 +177,6 @@ class GaussianRayTracer:
         structure: MonolithicBVH | TwoLevelBVH,
         config: TraceConfig | None = None,
         engine: str = "scalar",
-        n_rays: int | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -195,30 +185,24 @@ class GaussianRayTracer:
         self.config = config or TraceConfig()
         self.engine = engine
         self.shading = SceneShading(cloud)
-        self.packet = None
+        #: The batched tracer (``None`` when the scalar engine traces).
+        self.batched = None
         self._scalar_tracer: Tracer | None = None
-        from repro.rt.packet import PacketTracer, resolve_engine
+        from repro.rt.packet import resolve_engine
         from repro.rt.wavefront import WavefrontTracer
 
-        resolved = resolve_engine(engine, structure, self.config,
-                                  n_rays=n_rays)
+        resolved = resolve_engine(engine, structure, self.config)
         self._engine_active = resolved
         if resolved == "wavefront":
-            #: The batch tracer keeps the historical ``packet`` name —
-            #: both batch engines share the PacketTracer API and every
-            #: consumer (tile scheduler, tests, pool workers) holds it
-            #: through this attribute.
-            self.packet = WavefrontTracer(structure, self.shading,
-                                          self.config)
-        elif resolved == "packet":
-            self.packet = PacketTracer(structure, self.shading, self.config)
+            self.batched = WavefrontTracer(structure, self.shading,
+                                           self.config)
         else:
             self._scalar_tracer = Tracer(structure, self.shading, self.config)
 
     @property
     def tracer(self) -> Tracer:
-        """The scalar tracer — built lazily when the packet engine is
-        active (its table setup is O(scene) and the packet path never
+        """The scalar tracer — built lazily when the batched engine is
+        active (its table setup is O(scene) and the batched path never
         touches it), eagerly otherwise."""
         if self._scalar_tracer is None:
             self._scalar_tracer = Tracer(self.structure, self.shading, self.config)
@@ -271,16 +255,16 @@ class GaussianRayTracer:
         tile sliced out of a full-frame bundle traces bit-identically to
         the untiled render.
 
-        With the packet engine active the whole batch is traced as one
-        ray packet. ``keep_traces`` selects the *recorded* packet path
-        (:meth:`PacketTracer.trace_packet_recorded`): per-ray fetch
+        With the batched engine active the whole batch is traced
+        together. ``keep_traces`` selects the *recorded* batched path
+        (:meth:`WavefrontTracer.trace_packet_recorded`): per-ray fetch
         traces stream- and counter-identical to the scalar recorder's,
         at extra recording cost — so serving paths keep it off and
         timing runs turn it on.
         """
-        if self.packet is not None:
-            return self._trace_rays_packet(origins, directions, pixel_ids,
-                                           objects, keep_traces)
+        if self.batched is not None:
+            return self._trace_rays_batched(origins, directions, pixel_ids,
+                                            objects, keep_traces)
         n = origins.shape[0]
         colors = np.zeros((n, 3), dtype=np.float64)
         stats = RenderStats()
@@ -289,7 +273,7 @@ class GaussianRayTracer:
         # Per-phase timing at bundle granularity: the tracer accumulates
         # traversal/blend seconds across all rays of this bundle and the
         # totals flush as one histogram sample each — the same shape the
-        # packet engine reports per chunk.
+        # batched engine reports per chunk.
         profile = tracer.profile = PhaseAccumulator()
         bundle_span = span("rt.scalar.trace", rays=n)
         bundle_span.__enter__()
@@ -343,7 +327,7 @@ class GaussianRayTracer:
 
             colors[i] = color
 
-    def _trace_rays_packet(
+    def _trace_rays_batched(
         self,
         origins: np.ndarray,
         directions: np.ndarray,
@@ -351,10 +335,10 @@ class GaussianRayTracer:
         objects: SceneObjects | None,
         keep_traces: bool = False,
     ) -> BundleResult:
-        """Packet-engine ray batch: one vectorized primary packet plus
-        (when scene objects clip primaries) one secondary packet.
+        """Batched-engine ray batch: one vectorized primary bundle plus
+        (when scene objects clip primaries) one secondary bundle.
 
-        With ``keep_traces`` the packets run through the recording path
+        With ``keep_traces`` the bundles run through the recording path
         and the stats are absorbed from the reconstructed traces exactly
         like the scalar loop's, so every RenderStats counter matches the
         scalar engine (not just the parity trio)."""
@@ -376,13 +360,13 @@ class GaussianRayTracer:
 
         traces: list[RayTrace] = []
         if keep_traces:
-            result, primary_traces = self.packet.trace_packet_recorded(
+            result, primary_traces = self.batched.trace_packet_recorded(
                 origins, directions, t_clip, label="primary")
             traces.extend(primary_traces)
             self._absorb_recorded(stats, result, primary_traces, primary=True)
         else:
-            result = self.packet.trace_packet(origins, directions, t_clip)
-            self._absorb_packet(stats, result, primary=True)
+            result = self.batched.trace_packet(origins, directions, t_clip)
+            self._absorb_batched(stats, result, primary=True)
         colors = result.colors
 
         if objs is not None:
@@ -398,14 +382,14 @@ class GaussianRayTracer:
                         origins[i], directions[i], t_clip[i])
                     tints[j] = np.asarray(objs[i].tint)
                 if keep_traces:
-                    secondary, sec_traces = self.packet.trace_packet_recorded(
+                    secondary, sec_traces = self.batched.trace_packet_recorded(
                         sec_o, sec_d, label="secondary")
                     traces.extend(sec_traces)
                     self._absorb_recorded(stats, secondary, sec_traces,
                                           primary=False)
                 else:
-                    secondary = self.packet.trace_packet(sec_o, sec_d)
-                    self._absorb_packet(stats, secondary, primary=False)
+                    secondary = self.batched.trace_packet(sec_o, sec_d)
+                    self._absorb_batched(stats, secondary, primary=False)
                 weight = result.transmittance[live]
                 colors[live] = colors[live] + (
                     weight[:, None] * tints * secondary.colors)
@@ -415,7 +399,7 @@ class GaussianRayTracer:
 
     @staticmethod
     def _absorb_recorded(stats: RenderStats, result, traces, primary: bool) -> None:
-        """Absorb a recorded packet like the scalar per-ray loop does:
+        """Absorb a recorded bundle like the scalar per-ray loop does:
         every counter (visit totals, anyhit calls, k-buffer ops, ...)
         comes from the reconstructed traces, so the stats block equals
         the scalar engine's exactly."""
@@ -428,7 +412,7 @@ class GaussianRayTracer:
                          bool(terminated[i]))
 
     @staticmethod
-    def _absorb_packet(stats: RenderStats, result, primary: bool) -> None:
+    def _absorb_batched(stats: RenderStats, result, primary: bool) -> None:
         n = result.n_rays
         stats.n_rays += n
         if primary:

@@ -29,25 +29,17 @@ from repro.rt.pipeline import (
     depth_pipeline,
     shadow_pipeline,
 )
+from repro.rt.kernels import PacketResult
 from repro.rt.packet import (
     MONOLITHIC_PROXIES,
     PACKET_PROXIES,
     TWO_LEVEL_PROXIES,
-    WAVEFRONT_MIN_RAYS,
-    PacketResult,
-    PacketTracer,
     fallback_reason,
     packet_config_supported,
-    packet_fallback_count,
     packet_supported,
-    reset_packet_fallbacks,
     resolve_engine,
 )
-from repro.rt.wavefront import (
-    WAVEFRONT_RAY_CHUNK,
-    WavefrontTracer,
-    wavefront_supported,
-)
+from repro.rt.wavefront import WavefrontTracer
 from repro.rt.predictor import PredictorReport, RayPredictor, analyze_predictor
 from repro.rt.shading import SceneShading
 from repro.rt.tracer import RayOutcome, TraceConfig, Tracer
@@ -68,7 +60,6 @@ __all__ = [
     "PRIM_TRANSFORM",
     "PRIM_TRI",
     "PacketResult",
-    "PacketTracer",
     "PredictorReport",
     "RayOutcome",
     "RayTrace",
@@ -84,16 +75,11 @@ __all__ = [
     "MONOLITHIC_PROXIES",
     "PACKET_PROXIES",
     "TWO_LEVEL_PROXIES",
-    "WAVEFRONT_MIN_RAYS",
-    "WAVEFRONT_RAY_CHUNK",
     "analyze_predictor",
     "depth_pipeline",
     "fallback_reason",
     "packet_config_supported",
-    "packet_fallback_count",
     "packet_supported",
-    "reset_packet_fallbacks",
     "resolve_engine",
     "shadow_pipeline",
-    "wavefront_supported",
 ]

@@ -1,21 +1,19 @@
-"""Shared vectorized kernels for the batched tracing engines.
+"""Vectorized kernels of the batched tracing engine.
 
-The packet engine (:mod:`repro.rt.packet`, depth-first per-node
-dispatch) and the wavefront engine (:mod:`repro.rt.wavefront`,
-breadth-first frontier dispatch) differ only in *how they schedule*
-traversal work.  Everything that actually touches geometry or color —
-the slab arithmetic's input conventions, masked Möller–Trumbore,
-world→object ray transforms, the sphere-BLAS root-box test, the
-canonical any-hit evaluation and the front-to-back blend — is identical
-arithmetic, extracted here so the engines cannot drift apart on it.
+The wavefront engine (:mod:`repro.rt.wavefront`) schedules traversal
+work; everything that actually touches geometry or color — masked
+Möller–Trumbore, world→object ray transforms, the sphere-BLAS root-box
+test, the canonical any-hit evaluation and the front-to-back blend —
+lives here, shared with the trace recorder (:mod:`repro.rt.tracerecord`)
+so the plain and recorded paths cannot drift apart on it.
 
 Every kernel is elementwise over its batch (no cross-element reductions
-except the documented sorted ones), which is what makes the engines
-bit-identical to each other and to the scalar tracer regardless of how
-candidates were batched or ordered: IEEE float ops are deterministic
-per element, and the blend stage re-sorts candidates by the fully
-determining key ``(ray, t, gid)`` before any order-sensitive
-accumulation.
+except the documented sorted ones), which is what makes the batched
+engine bit-identical to itself under any batching and within 1e-9 of
+the scalar tracer regardless of how candidates were batched or ordered:
+IEEE float ops are deterministic per element, and the blend stage
+re-sorts candidates by the fully determining key ``(ray, t, gid)``
+before any order-sensitive accumulation.
 """
 
 from __future__ import annotations

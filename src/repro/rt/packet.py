@@ -1,101 +1,31 @@
-"""Vectorized ray-packet tracing over the flattened structure layout.
+"""Engine resolution: which tracer a (structure, config) pair gets.
 
-The scalar :class:`~repro.rt.tracer.Tracer` walks acceleration
-structures one ray at a time in pure Python — the throughput bottleneck
-of the whole reproduction.  Primary rays inside a tile are highly
-coherent, so this module traces a whole tile's bundle *together* over
-the one flattened layout every structure lowers to
-(:func:`repro.bvh.flatten.flatten`):
+Two engines trace rays: the scalar per-ray :class:`~repro.rt.tracer.Tracer`
+(full feature set, including GRTX-HW checkpointing) and the batched
+:class:`~repro.rt.wavefront.WavefrontTracer` (both structure families,
+``multiround`` and ``singleround``, ``record_blended`` and per-ray fetch
+traces; no checkpointing).  This module holds the support predicates,
+:func:`resolve_engine`, fallback observability and the proxy-label
+tuples the serving layer resolves requests with.
 
-* **batched slab tests** — each node of a flattened level is visited at
-  most once per packet; its (up to ``width``) child boxes are slab-tested
-  against every ray still active at that node in one numpy broadcast,
-  and children are descended with the surviving ray subset;
-* **two-level traversal** — TLAS leaves gather their instance records
-  (Gaussian id, world->object transform, shared-BLAS slot), the live
-  (ray, instance) bundle is transformed into BLAS object space in one
-  batch, and each shared BLAS is traversed *once* for its whole instance
-  group: the unit-sphere BLAS is a batched root-box test, the template
-  mesh BLAS reuses the same generic level traversal with the pair bundle
-  as its rays;
-* **masked Möller–Trumbore** — all (ray, triangle) candidate pairs
-  produced by the leaf visits (monolithic leaves or template-BLAS
-  leaves) are intersected in one vectorized batch;
-* **vectorized front-to-back blending** — per-ray hit lists are sorted
-  by ``(t, gaussian_id)``, transmittance is a row-wise ``cumprod``, and
-  early ray termination is a monotone cutoff on the running
-  transmittance, exactly mirroring the scalar blend loop's arithmetic.
-
-Parity is the contract: for every supported configuration the packet
-engine renders the same image as the scalar tracer to within 1e-9 per
-channel, and the functional counters that stay meaningful without
-per-round traversal — ``n_rays``, ``blended_total``,
-``rays_terminated_early`` — agree exactly.  The equivalence rests on two
-properties of the (tie-fixed) multi-round algorithm: each round's
-k-buffer holds exactly the k closest remaining hits, so the blend
-sequence across rounds is the globally ``(t, gid)``-sorted hit list
-capped at ``max_rounds * k`` entries; and early termination is a
-monotone threshold on the running transmittance, so it commutes with
-computing all hits first.
-
-Scope: every structure the repo builds — monolithic (triangle and
-custom proxies) *and* two-level (``tlas+sphere`` / ``tlas+*-tri``) — in
-``multiround`` and ``singleround`` modes, including ``record_blended``
-(per-ray blend lists extracted from the vectorized blend) and per-ray
-fetch traces (:meth:`PacketTracer.trace_packet_recorded`, backed by
-:mod:`repro.rt.tracerecord`: batched geometry passes plus a per-ray
-control-flow reconstruction that emits scalar-identical
-:class:`~repro.rt.recorder.RayTrace` streams).  GRTX-HW checkpointing
-stays scalar-engine-only; :func:`packet_supported` tells callers when
-to fall back, and :func:`resolve_engine` / :func:`packet_fallback_count`
-make the fallback observable instead of silent.
+Engine names: ``"scalar"``, ``"wavefront"``, ``"auto"`` (the batched
+engine whenever it covers the pair, scalar otherwise) and ``"packet"``,
+kept as an alias of ``"wavefront"`` — :func:`resolve_engine` maps it
+before any cache key is built, so an alias and its target share every
+cache entry.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import warnings
-import numpy as np
 
-from repro.obs import get_registry, span
+from repro.obs import get_registry
 from repro.obs import events as obs_events
 from repro.obs import flight
 
-from repro.bvh.flatten import (
-    BLAS_SPHERE,
-    PRIMS_GAUSSIANS,
-    PRIMS_TRIANGLES,
-    flatten,
-    flattenable,
-)
-from repro.bvh.node import KIND_INTERNAL
-from repro.rt.kernels import (
-    Level,
-    PacketResult,
-    blend_range_end,
-    empty_result,
-    entering_hits,
-    shade_and_blend,
-    sphere_blas_hits,
-    to_object_space,
-)
-from repro.rt.shading import SceneShading
+from repro.bvh.flatten import flattenable
 from repro.rt.tracer import TraceConfig
-
-#: Rays per internal traversal chunk; bounds the (rays, width, 3)
-#: broadcast temporaries and the dense per-ray blend matrix to tens of
-#: MB even for hit-heavy scenes.
-_MAX_PACKET = 8192
-
-#: Frame sizes from which ``engine="auto"`` prefers the wavefront
-#: engine: breadth-first frontier batching needs enough rays per level
-#: step to amortize its compaction passes; below this the packet
-#: engine's per-tile DFS is the better schedule.
-WAVEFRONT_MIN_RAYS = 4096
-
-_INF = float("inf")
-
 
 #: Proxy labels that build monolithic structures.
 MONOLITHIC_PROXIES = ("20-tri", "80-tri", "custom")
@@ -103,21 +33,24 @@ MONOLITHIC_PROXIES = ("20-tri", "80-tri", "custom")
 #: Proxy labels that build two-level (GRTX-SW) structures.
 TWO_LEVEL_PROXIES = ("tlas+sphere", "tlas+20-tri", "tlas+80-tri")
 
-#: Every proxy label the packet engine covers — the single source for
+#: Every proxy label the batched engine covers — the single source for
 #: request-level engine resolution, so the serving layer can never
 #: drift from :func:`packet_supported`.
 PACKET_PROXIES = MONOLITHIC_PROXIES + TWO_LEVEL_PROXIES
+
+#: Engine names that request the batched engine.
+BATCHED_ENGINES = ("packet", "wavefront")
 
 
 def packet_config_supported(config: TraceConfig) -> bool:
     """The config half of :func:`packet_supported`: GRTX-HW
     checkpointing stays on the scalar engine (``record_blended`` is
-    packetized — the blend stage extracts per-ray blend lists)."""
+    batched — the blend stage extracts per-ray blend lists)."""
     return not config.checkpointing
 
 
 def packet_supported(structure, config: TraceConfig) -> bool:
-    """Whether the packet engine covers this (structure, config) pair.
+    """Whether the batched engine covers this (structure, config) pair.
 
     Structural support is :func:`repro.bvh.flatten.flattenable` — the
     same predicate the scalar tracer's table setup uses — so both
@@ -128,7 +61,7 @@ def packet_supported(structure, config: TraceConfig) -> bool:
 
 def fallback_reason(structure, config: TraceConfig) -> str | None:
     """Why this (structure, config) pair needs the scalar engine
-    (``None`` when the packet engine covers it)."""
+    (``None`` when the batched engine covers it)."""
     if not flattenable(structure):
         return f"unsupported structure type {type(structure).__name__}"
     if config.checkpointing:
@@ -137,551 +70,55 @@ def fallback_reason(structure, config: TraceConfig) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Fallback observability: a process-wide counter plus a one-time warning
-# per distinct reason, so an engine="packet" request silently degrading
-# to the scalar tracer is visible to callers (the render server surfaces
-# the counter as a gauge in its metric snapshots).
+# Fallback observability: the registry counter ``rt.packet_fallbacks``
+# plus a one-time warning per distinct reason, so an explicit batched
+# request silently degrading to the scalar tracer is visible to callers
+# (the render server surfaces the counter as a gauge, ``repro doctor``
+# reads it from incident bundles).
 
-_fallback_lock = threading.Lock()
-_fallback_count = 0
+_warned_lock = threading.Lock()
 _warned_reasons: set[str] = set()
 
 
 def note_packet_fallback(reason: str) -> None:
-    """Record one packet->scalar degrade; warns once per reason."""
-    global _fallback_count
-    with _fallback_lock:
-        _fallback_count += 1
+    """Record one batched->scalar degrade; warns once per reason."""
+    with _warned_lock:
         first = reason not in _warned_reasons
         _warned_reasons.add(reason)
-    # Mirror into the obs registry: inside a pool worker the global
-    # counter above dies with the process, but the registry delta rides
-    # back to the parent with the task result (satellite fix — worker
-    # fallbacks used to be silently lost).
+    # Inside a pool worker the registry delta rides back to the parent
+    # with the task result, so worker-side degrades are counted too.
     get_registry().add("rt.packet_fallbacks")
     # And into the flight ring with the *reason* — a counter says how
     # often, the black box says why and when relative to the incident.
     flight.record(obs_events.FALLBACK, "rt.packet_fallback", reason=reason)
     if first:
         warnings.warn(
-            f"packet engine unavailable ({reason}); falling back to the "
+            f"batched engine unavailable ({reason}); falling back to the "
             "scalar tracer", RuntimeWarning, stacklevel=3)
 
 
-def packet_fallback_count() -> int:
-    """Process-wide count of packet->scalar fallbacks so far."""
-    with _fallback_lock:
-        return _fallback_count
+def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
+    """The concrete engine a (structure, config) pair will trace with:
+    ``"scalar"`` or ``"wavefront"``.
 
-
-def reset_packet_fallbacks() -> None:
-    """Reset the counter and re-arm the one-time warnings (tests)."""
-    global _fallback_count
-    with _fallback_lock:
-        _fallback_count = 0
-        _warned_reasons.clear()
-
-
-def resolve_engine(engine: str, structure, config: TraceConfig,
-                   n_rays: int | None = None) -> str:
-    """The concrete engine a (structure, config, batch) will trace with.
-
-    ``"auto"`` silently picks the best supported engine — that is its
-    contract: the wavefront engine for frame-sized batches (``n_rays``
-    at least :data:`WAVEFRONT_MIN_RAYS`; callers that know the batch
-    size pass it), the packet engine otherwise, and the scalar tracer
-    when the batched engines cannot cover the pair.  An explicit
-    ``"packet"`` or ``"wavefront"`` that cannot be honored *degrades* to
-    scalar: the degrade is counted (:func:`packet_fallback_count`) and
-    warned about once per reason, because the caller asked for
-    something they are not getting.  Unknown engine names are a
-    fail-fast ``ValueError`` (a typo must not silently render with the
-    wrong engine).
+    ``"auto"`` silently picks the batched engine whenever it covers the
+    pair and the scalar tracer otherwise — that is its contract.  An
+    explicit ``"wavefront"`` (or its alias ``"packet"``) that cannot be
+    honored *degrades* to scalar: the degrade is counted (registry
+    counter ``rt.packet_fallbacks``) and warned about once per reason,
+    because the caller asked for something they are not getting.
+    Unknown engine names are a fail-fast ``ValueError`` (a typo must not
+    silently render with the wrong engine).
     """
     if engine == "scalar":
         return "scalar"
-    if engine not in ("packet", "wavefront", "auto"):
+    if engine not in BATCHED_ENGINES and engine != "auto":
         raise ValueError(
             f"unknown engine {engine!r}; valid engines are: "
             "scalar, packet, wavefront, auto")
     reason = fallback_reason(structure, config)
     if reason is not None:
-        if engine in ("packet", "wavefront"):
+        if engine in BATCHED_ENGINES:
             note_packet_fallback(reason)
         return "scalar"
-    if engine == "auto":
-        if n_rays is not None and n_rays >= WAVEFRONT_MIN_RAYS:
-            return "wavefront"
-        return "packet"
-    return engine
-
-
-# PacketResult and the shared computational kernels moved to
-# repro.rt.kernels when the wavefront engine landed; re-exported here
-# (see the module imports) so existing callers keep their import paths.
-_Level = Level
-
-
-class PacketTracer:
-    """Traces ray packets through one flattened scene structure.
-
-    Built once per (structure, shading, config) like the scalar
-    :class:`~repro.rt.tracer.Tracer`; carries no per-packet state, so a
-    single instance may trace any number of packets.  Accepts raw
-    structures (flattened on construction, memoized) or an
-    already-flattened :class:`~repro.bvh.flatten.FlatStructure`.
-    """
-
-    def __init__(
-        self,
-        structure,
-        shading: SceneShading,
-        config: TraceConfig | None = None,
-    ) -> None:
-        config = config or TraceConfig()
-        if not packet_supported(structure, config):
-            raise ValueError(
-                "packet engine supports flattenable structures without "
-                "checkpointing; use the scalar Tracer "
-                f"({fallback_reason(structure, config)})")
-        flat = flatten(structure)
-        self.structure = structure
-        self.flat = flat
-        self.shading = shading
-        self.config = config
-        self._recorder = None
-        self._root = _Level(flat.root)
-        self._prims = flat.root_prims
-        if flat.root_prims == PRIMS_TRIANGLES:
-            mesh = flat.mesh
-            self._v0, self._e1, self._e2 = mesh.v0, mesh.e1, mesh.e2
-            self._owner = mesh.owner
-        else:
-            # Custom primitives or instances: leaf-ordered Gaussian ids.
-            self._gids = flat.prim_gid
-        if flat.two_level:
-            # The instance table (leaf-ordered, aligned with prim_gid) —
-            # bit-equal to the shading tables by construction, which the
-            # test suite guards, so consuming it preserves scalar parity.
-            self._inst_lin = flat.inst_w2o_linear
-            self._inst_off = flat.inst_w2o_offset
-            self._inst_blas = flat.inst_blas
-            self._blas = flat.blas
-            self._blas_levels = [
-                _Level(b.bvh) if b.bvh is not None else None
-                for b in flat.blas
-            ]
-            self._blas_roots = [
-                b.bvh.root_box() if b.bvh is not None else None
-                for b in flat.blas
-            ]
-
-    @property
-    def triangle_proxy(self) -> bool:
-        return self._prims == PRIMS_TRIANGLES
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
-    def trace_packet(
-        self,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        t_clip: np.ndarray | None = None,
-    ) -> PacketResult:
-        """Trace a bundle of rays to completion.
-
-        ``t_clip`` optionally bounds each ray's traced segment (analytic
-        scene objects truncating primaries), per ray; ``None`` means
-        unbounded.
-        """
-        o = np.ascontiguousarray(origins, dtype=np.float64)
-        d = np.ascontiguousarray(directions, dtype=np.float64)
-        n = o.shape[0]
-        if t_clip is None:
-            t_clip = np.full(n, _INF)
-        else:
-            t_clip = np.asarray(t_clip, dtype=np.float64)
-        if n == 0:
-            return self._empty_result(0)
-        with span("rt.packet.trace", rays=n):
-            if n <= _MAX_PACKET:
-                return self._trace_chunk(o, d, t_clip)
-            parts = [
-                self._trace_chunk(o[i:i + _MAX_PACKET], d[i:i + _MAX_PACKET],
-                                  t_clip[i:i + _MAX_PACKET])
-                for i in range(0, n, _MAX_PACKET)
-            ]
-            return PacketResult.concatenate(parts, self.config.record_blended)
-
-    # ------------------------------------------------------------------
-    # Pipeline stages
-    # ------------------------------------------------------------------
-
-    def _empty_result(self, n: int) -> PacketResult:
-        return empty_result(n, self.config.record_blended)
-
-    def _trace_chunk(self, o, d, t_clip) -> PacketResult:
-        # Same degenerate-direction guard as the scalar tracer, so slab
-        # tests agree bit-for-bit.
-        safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
-        inv_d = 1.0 / safe
-
-        # Per-phase timing at chunk granularity (one perf_counter pair
-        # per stage, thousands of rays each — far off the hot path).
-        # The same three-way split the scalar tracer reports, so the
-        # rt.phase.* histograms compare engines directly.
-        registry = get_registry()
-        t_start = time.perf_counter()
-        leaf_rays, leaf_refs = self._traverse(self._root, o, inv_d, t_clip)
-        t_traversal = time.perf_counter()
-        o2 = d2 = None
-        if self._prims == PRIMS_TRIANGLES:
-            ray_c, gid_c, t_proxy = self._leaf_triangles(
-                o, d, leaf_rays, leaf_refs)
-        elif self._prims == PRIMS_GAUSSIANS:
-            ray_c, gid_c = self._leaf_customs(leaf_rays, leaf_refs)
-            t_proxy = None
-        else:
-            ray_c, gid_c, t_proxy, o2, d2 = self._leaf_instances(
-                o, d, t_clip, leaf_rays, leaf_refs)
-        t_intersect = time.perf_counter()
-        result = self._shade_and_blend(o, d, t_clip, ray_c, gid_c, t_proxy,
-                                       o2=o2, d2=d2)
-        t_blend = time.perf_counter()
-        registry.observe("rt.phase.traversal", t_traversal - t_start)
-        registry.observe("rt.phase.intersect", t_intersect - t_traversal)
-        registry.observe("rt.phase.blend", t_blend - t_intersect)
-        return result
-
-    def _traverse(
-        self,
-        level: _Level,
-        o: np.ndarray,
-        inv_d: np.ndarray,
-        t_clip: np.ndarray,
-    ) -> tuple[list[np.ndarray], list[int]]:
-        """Packet traversal of one flattened level: every reachable node
-        visited at most once.
-
-        The "rays" are whatever bundle the level is traversed with —
-        camera rays for the root level, object-space (ray, instance)
-        pairs for a shared mesh BLAS.  Returns the leaf visit list as
-        parallel (active-ray subset, leaf record index) sequences.
-        There is no t_max pruning: the blend stage applies early
-        termination after all hits are known, which yields the identical
-        blended prefix (termination is a monotone cutoff on sorted
-        hits).
-        """
-        kinds = level.child_kind
-        refs = level.child_ref
-        los = level.child_lo
-        his = level.child_hi
-        leaf_rays: list[np.ndarray] = []
-        leaf_refs: list[int] = []
-        stack: list[tuple[int, np.ndarray]] = [
-            (0, np.arange(o.shape[0], dtype=np.int64))
-        ]
-        while stack:
-            node, rays = stack.pop()
-            ro = o[rays]
-            ri = inv_d[rays]
-            t0 = (los[node][None, :, :] - ro[:, None, :]) * ri[:, None, :]
-            t1 = (his[node][None, :, :] - ro[:, None, :]) * ri[:, None, :]
-            tn = np.minimum(t0, t1).max(axis=2)
-            tf = np.maximum(t0, t1).min(axis=2)
-            # Same accept test as the scalar slab (t_min = 0 here; there
-            # is no shrinking t_max).  Empty slots are masked by kind.
-            hit = (tn <= tf) & (tf >= 0.0) & (tn <= t_clip[rays, None])
-            hit &= (kinds[node] != 0)[None, :]
-            for slot in np.nonzero(hit.any(axis=0))[0]:
-                sub = rays[hit[:, slot]]
-                if kinds[node, slot] == KIND_INTERNAL:
-                    stack.append((int(refs[node, slot]), sub))
-                else:
-                    leaf_rays.append(sub)
-                    leaf_refs.append(int(refs[node, slot]))
-        return leaf_rays, leaf_refs
-
-    def _traverse_log(
-        self,
-        level: _Level,
-        o: np.ndarray,
-        inv_d: np.ndarray,
-        t_clip: np.ndarray,
-    ) -> tuple[list, list[np.ndarray], list[int]]:
-        """Recording variant of :meth:`_traverse`.
-
-        Identical stack discipline and leaf output, but additionally
-        returns the per-node visit log ``[(node, rays, tn, tf, hit),
-        ...]`` with every visiting ray's child slab results for *all*
-        slots and the accept mask — the geometry the packet trace
-        recorder's per-ray control-flow reconstruction replays (visits
-        with ``t_min = 0`` and no ``t_max`` are a superset of every
-        tracing round's visits).
-        """
-        kinds = level.child_kind
-        refs = level.child_ref
-        los = level.child_lo
-        his = level.child_hi
-        visits: list = []
-        leaf_rays: list[np.ndarray] = []
-        leaf_refs: list[int] = []
-        stack: list[tuple[int, np.ndarray]] = [
-            (0, np.arange(o.shape[0], dtype=np.int64))
-        ]
-        while stack:
-            node, rays = stack.pop()
-            ro = o[rays]
-            ri = inv_d[rays]
-            t0 = (los[node][None, :, :] - ro[:, None, :]) * ri[:, None, :]
-            t1 = (his[node][None, :, :] - ro[:, None, :]) * ri[:, None, :]
-            tn = np.minimum(t0, t1).max(axis=2)
-            tf = np.maximum(t0, t1).min(axis=2)
-            hit = (tn <= tf) & (tf >= 0.0) & (tn <= t_clip[rays, None])
-            hit &= (kinds[node] != 0)[None, :]
-            visits.append((node, rays, tn, tf, hit))
-            for slot in np.nonzero(hit.any(axis=0))[0]:
-                sub = rays[hit[:, slot]]
-                if kinds[node, slot] == KIND_INTERNAL:
-                    stack.append((int(refs[node, slot]), sub))
-                else:
-                    leaf_rays.append(sub)
-                    leaf_refs.append(int(refs[node, slot]))
-        return visits, leaf_rays, leaf_refs
-
-    def trace_packet_recorded(
-        self,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        t_clip: np.ndarray | None = None,
-        label: str = "primary",
-    ):
-        """Trace a bundle *and* record per-ray fetch traces.
-
-        Returns ``(PacketResult, traces)`` where ``traces`` is one
-        :class:`~repro.rt.recorder.RayTrace` per input ray, stream- and
-        counter-equal to what the scalar tracer would have recorded (the
-        timing model replays either interchangeably). The result's
-        ``rounds`` array carries the reconstructed exact round counts.
-        See :mod:`repro.rt.tracerecord` for the recording pipeline.
-        """
-        from repro.rt.tracerecord import PacketTraceRecorder
-
-        if self._recorder is None:
-            self._recorder = PacketTraceRecorder(self)
-        return self._recorder.record(origins, directions, t_clip, label)
-
-    @staticmethod
-    def _leaf_pairs(
-        level: _Level, leaf_rays: list[np.ndarray], leaf_refs: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten leaf visits into (ray index, ordered-primitive index)
-        pair arrays — the input of the batched primitive tests."""
-        ray_parts: list[np.ndarray] = []
-        prim_parts: list[np.ndarray] = []
-        starts = level.leaf_start
-        counts = level.leaf_count
-        for rays, ref in zip(leaf_rays, leaf_refs):
-            start = int(starts[ref])
-            count = int(counts[ref])
-            prims = np.arange(start, start + count, dtype=np.int64)
-            ray_parts.append(np.repeat(rays, count))
-            prim_parts.append(np.tile(prims, rays.size))
-        if not ray_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(ray_parts), np.concatenate(prim_parts)
-
-    #: Masked Möller–Trumbore (see :func:`repro.rt.kernels.entering_hits`);
-    #: kept as a method because the trace recorder calls it on the tracer.
-    _entering_hits = staticmethod(entering_hits)
-
-    def _leaf_triangles(
-        self,
-        o: np.ndarray,
-        d: np.ndarray,
-        leaf_rays: list[np.ndarray],
-        leaf_refs: list[int],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Monolithic triangle leaves: masked Möller–Trumbore over every
-        (ray, leaf triangle) pair.
-
-        Returns per-(ray, gaussian) candidates with the proxy entry
-        depth: backface-culled entering hits, reduced to the nearest
-        entering triangle per Gaussian (the proxy meshes are convex, so
-        a ray has at most one entering hit per Gaussian and the
-        reduction is exact).
-        """
-        rp, tp = self._leaf_pairs(self._root, leaf_rays, leaf_refs)
-        if rp.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-
-        sel, t = self._entering_hits(o[rp], d[rp], tp,
-                                     self._v0, self._e1, self._e2)
-        rp = rp[sel]
-        gid = self._owner[tp[sel]]
-
-        if rp.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-        # Nearest entering triangle per (ray, gaussian).
-        order = np.lexsort((t, gid, rp))
-        rp, gid, t = rp[order], gid[order], t[order]
-        first = np.ones(rp.size, dtype=bool)
-        first[1:] = (rp[1:] != rp[:-1]) | (gid[1:] != gid[:-1])
-        return rp[first], gid[first], t[first]
-
-    def _leaf_customs(
-        self, leaf_rays: list[np.ndarray], leaf_refs: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Custom-primitive leaves: candidates are the (ray, gaussian)
-        pairs directly (each Gaussian lives in exactly one leaf)."""
-        rp, pp = self._leaf_pairs(self._root, leaf_rays, leaf_refs)
-        if rp.size == 0:
-            return rp, pp
-        return rp, self._gids[pp]
-
-    # -- two-level -----------------------------------------------------
-
-    #: World->object ray transform (see
-    #: :func:`repro.rt.kernels.to_object_space`); the trace recorder
-    #: calls it via the class.
-    _to_object_space = staticmethod(to_object_space)
-
-    def _leaf_instances(
-        self,
-        o: np.ndarray,
-        d: np.ndarray,
-        t_clip: np.ndarray,
-        leaf_rays: list[np.ndarray],
-        leaf_refs: list[int],
-    ) -> tuple:
-        """TLAS leaves: transform the live bundle through each instance
-        and intersect every shared BLAS once with its instance group.
-
-        Returns ``(ray_c, gid_c, t_proxy, o2, d2)``.  Candidates for the
-        sphere BLAS carry no proxy depth (the exact ellipsoid entry
-        distance is the sort key, as in the scalar instance path);
-        mesh-BLAS candidates carry the nearest entering template-triangle
-        depth (NaN marks exact-depth entries when BLAS kinds mix).
-        ``o2``/``d2`` are the surviving candidates' object-space rays,
-        handed to the shade stage so it does not re-transform.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        rp, pp = self._leaf_pairs(self._root, leaf_rays, leaf_refs)
-        if rp.size == 0:
-            return empty, empty, None, None, None
-        gid = self._gids[pp]
-        # Gather transforms from the flat instance table (leaf-ordered,
-        # so `pp` indexes it directly) — bit-equal to the scalar
-        # engine's shading tables, guarded by tests.
-        o2, d2 = self._to_object_space(
-            self._inst_lin[pp], self._inst_off[pp], o[rp], d[rp])
-
-        sub_parts: list[np.ndarray] = []
-        t_parts: list[np.ndarray] = []
-        mesh_hit = False
-        for slot, blas in enumerate(self._blas):
-            if len(self._blas) > 1:
-                group = np.nonzero(self._inst_blas[pp] == slot)[0]
-                if group.size == 0:
-                    continue
-                o_s, d_s = o2[group], d2[group]
-                clip_s = t_clip[rp[group]]
-            else:
-                # Single shared BLAS (every structure today): the whole
-                # pair bundle is the group — no gather needed.
-                group = None
-                o_s, d_s = o2, d2
-                clip_s = t_clip[rp]
-            if blas.kind == BLAS_SPHERE:
-                keep = self._sphere_blas_hits(o_s, d_s, clip_s)
-                sub = np.nonzero(keep)[0] if group is None else group[keep]
-                sub_parts.append(sub)
-                t_parts.append(np.full(sub.size, np.nan))
-            else:
-                sel, t = self._mesh_blas_hits(slot, blas, o_s, d_s, clip_s)
-                sub_parts.append(sel if group is None else group[sel])
-                t_parts.append(t)
-                mesh_hit = True
-        if not sub_parts:
-            return empty, empty, None, None, None
-        sub = np.concatenate(sub_parts)
-        # Sphere-only scenes carry no proxy depths (the exact ellipsoid
-        # entry is the sort key); the surviving pairs' object-space rays
-        # ride along so the shade stage need not re-transform them.
-        t_proxy = np.concatenate(t_parts) if mesh_hit else None
-        return rp[sub], gid[sub], t_proxy, o2[sub], d2[sub]
-
-    #: Batched sphere-BLAS root-box test (see
-    #: :func:`repro.rt.kernels.sphere_blas_hits`).
-    _sphere_blas_hits = staticmethod(sphere_blas_hits)
-
-    def _mesh_blas_hits(
-        self, slot: int, blas, o2, d2, clip
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Traverse one shared mesh BLAS with a whole instance group.
-
-        The pair bundle's object-space rays traverse the template BVH
-        through the same generic level traversal as the root, then one
-        masked Möller–Trumbore batch reduces to the nearest entering
-        template triangle per pair — the scalar ``_traverse_blas``'s
-        ``best``.  Returns ``(sel, t)``: indices into the input group
-        with a hit, and the proxy depths (object-space t equals world t;
-        the transform is affine in the ray parameter).
-        """
-        safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
-        inv_d2 = 1.0 / safe
-        root_lo, root_hi = self._blas_roots[slot]
-        t0 = (root_lo[None, :] - o2) * inv_d2
-        t1 = (root_hi[None, :] - o2) * inv_d2
-        tn = np.minimum(t0, t1).max(axis=1)
-        tf = np.maximum(t0, t1).min(axis=1)
-        live = np.nonzero((tn <= tf) & (tf >= 0.0) & (tn <= clip))[0]
-        if live.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-
-        level = self._blas_levels[slot]
-        o_l, d_l = o2[live], d2[live]
-        leaf_rays, leaf_refs = self._traverse(level, o_l, inv_d2[live],
-                                              clip[live])
-        pr, tp = self._leaf_pairs(level, leaf_rays, leaf_refs)
-        if pr.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        mesh = blas.mesh
-        sel, t = self._entering_hits(o_l[pr], d_l[pr], tp,
-                                     mesh.v0, mesh.e1, mesh.e2)
-        pr = pr[sel]
-        if pr.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        # Nearest entering template triangle per instance pair.
-        order = np.lexsort((t, pr))
-        pr, t = pr[order], t[order]
-        first = np.ones(pr.size, dtype=bool)
-        first[1:] = pr[1:] != pr[:-1]
-        return live[pr[first]], t[first]
-
-    # -- shade & blend -------------------------------------------------
-
-    def _shade_and_blend(
-        self,
-        o: np.ndarray,
-        d: np.ndarray,
-        t_clip: np.ndarray,
-        ray_c: np.ndarray,
-        gid_c: np.ndarray,
-        t_proxy: np.ndarray | None,
-        o2: np.ndarray | None = None,
-        d2: np.ndarray | None = None,
-    ) -> PacketResult:
-        """Canonical any-hit evaluation + front-to-back blend, batched
-        (see :func:`repro.rt.kernels.shade_and_blend`; kept as a method
-        because the trace recorder and the wavefront engine call it on
-        the tracer)."""
-        return shade_and_blend(self.shading, self.config, o, d, t_clip,
-                               ray_c, gid_c, t_proxy, o2=o2, d2=d2)
-
-    _blend_range_end = staticmethod(blend_range_end)
+    return "wavefront"

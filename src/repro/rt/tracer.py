@@ -184,7 +184,7 @@ class FlatTables:
     """Plain-list views of one flattened structure for per-ray loops.
 
     The scalar tracer's hot loops index Python lists (faster than numpy
-    scalars at this granularity), and the packet trace recorder's
+    scalars at this granularity), and the batched trace recorder's
     control-flow reconstruction reads the *same* tables — one builder,
     so the two consumers cannot disagree on addresses, child layouts or
     leaf contents. Built once per :class:`~repro.bvh.flatten.FlatStructure`
@@ -301,7 +301,7 @@ class Tracer:
     ) -> None:
         # Both engines consume the same flattened layout (leaf-ordered
         # primitive tables, instance table, shared-BLAS slots), so the
-        # scalar and packet tracers cannot drift apart on what a
+        # scalar and batched tracers cannot drift apart on what a
         # structure is.  A pre-flattened structure (what pool workers
         # receive) is accepted directly.
         flat = flatten(structure)

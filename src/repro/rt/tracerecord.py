@@ -1,22 +1,25 @@
-"""Packet-order fetch-trace recording.
+"""Batched fetch-trace recording.
 
 The scalar :class:`~repro.rt.tracer.Tracer` records per-ray fetch traces
 as a side effect of walking the BVH one ray at a time — which pinned
 every timing-model figure to the slowest engine.  This module teaches
-the packet engine to produce the *same* traces from its batched
+the batched engine to produce the *same* traces from its wavefront
 traversal, in two phases:
 
-**Phase A — batched geometry.**  One recording traversal per packet
-(:meth:`~repro.rt.packet.PacketTracer._traverse_log`) visits every node
-reachable with ``t_min = 0`` and no ``t_max`` — a superset of what any
-tracing round visits — and logs each visiting ray's child slab results.
-Leaf visits feed one masked Möller–Trumbore over all candidate pairs
-(kept per-leaf), batched instance transforms, one shared-BLAS traversal
-per instance group, and one vectorized canonical any-hit evaluation per
-candidate ``(ray, gaussian)`` pair.  The shade/blend stage then runs on
-exactly the candidate sets a plain ``trace_packet`` would build, so the
-recorded render's :class:`~repro.rt.packet.PacketResult` matches the
-plain packet path.
+**Phase A — batched geometry.**  One logged frontier traversal per
+bundle (:meth:`~repro.rt.wavefront.WavefrontTracer._traverse_wave` with
+``log=``) visits every ``(ray, node)`` pair reachable with ``t_min = 0``
+and no ``t_max`` — a superset of what any tracing round visits — and
+logs each visited pair's child slab results.  The log is order-free: it
+is folded into per-ray ``node -> row`` dicts, so the breadth-first
+visit order never reaches a trace.  Leaf visits feed one masked
+Möller–Trumbore over all candidate pairs (kept per-leaf), batched
+instance transforms, one shared-BLAS traversal per instance group, and
+one vectorized canonical any-hit evaluation per candidate ``(ray,
+gaussian)`` pair.  The shade/blend stage then runs on exactly the
+candidate sets a plain ``trace_packet`` would build, so the recorded
+render's :class:`~repro.rt.kernels.PacketResult` matches the plain
+path.
 
 **Phase B — per-ray control-flow reconstruction.**  Per ray, the
 Phase-A logs are folded into a *round template*: the ray's DFS visit
@@ -58,6 +61,7 @@ from repro.bvh.flatten import BLAS_SPHERE, PRIMS_GAUSSIANS, PRIMS_TRIANGLES
 from repro.bvh.layout import INSTANCE_BYTES, LEAF_HEADER_BYTES, SPHERE_PRIM_BYTES
 from repro.bvh.node import KIND_INTERNAL, KIND_LEAF
 from repro.rt.kbuffer import KBuffer, KBufferEntry
+from repro.rt.kernels import PacketResult, entering_hits, to_object_space
 from repro.rt.recorder import (
     FETCH_INTERNAL,
     FETCH_LEAF,
@@ -75,9 +79,9 @@ _INF = float("inf")
 _get0 = itemgetter(0)
 
 
-def _visit_tables(n, visits):
+def _visit_tables(n, log):
     """Per-ray ``node -> (tn row, tf row, child order, child count)``
-    lookup tables from a recording traversal's visit log.
+    lookup tables from a logged traversal's per-pair rows.
 
     The child order is the scalar DFS push order — accepted slots by
     descending entry distance, slot order on ties (``argsort`` is
@@ -85,20 +89,20 @@ def _visit_tables(n, visits):
     per-ray template build does no slot arithmetic at all.
     """
     out: list[dict] = [dict() for _ in range(n)]
-    for node, rays, tn, tf, hit in visits:
+    for rays, nodes, tn, tf, hit in log:
         key = np.where(hit, -tn, np.inf)
         order_l = np.argsort(key, axis=1, kind="stable").tolist()
         cnt_l = hit.sum(axis=1).tolist()
-        tn_l = tn.tolist()
-        tf_l = tf.tolist()
-        for j, r in enumerate(rays.tolist()):
-            out[r][node] = (tn_l[j], tf_l[j], order_l[j], cnt_l[j])
+        for r, node, tn_row, tf_row, order, cnt in zip(
+                rays.tolist(), nodes.tolist(), tn.tolist(), tf.tolist(),
+                order_l, cnt_l):
+            out[r][node] = (tn_row, tf_row, order, cnt)
     return out
 
 
 #: Rays per recording chunk.  Recording keeps per-(ray, node) slab rows
 #: alive until the chunk's traces are built, so it chunks finer than the
-#: plain packet path to bound peak memory.
+#: plain path to bound peak memory.
 _MAX_RECORD_PACKET = 1024
 
 # Template entry kinds.  Every entry is the tuple ``(kind, tn, tf,
@@ -114,11 +118,11 @@ _T_BLAS_LEAF = 5    # shared mesh-BLAS leaf
 
 
 class PacketTraceRecorder:
-    """Produces scalar-identical fetch traces from packet traversal.
+    """Produces scalar-identical fetch traces from wavefront traversal.
 
-    Built once per :class:`~repro.rt.packet.PacketTracer` (the tracer
-    memoizes it); carries only static tables, so one instance records
-    any number of packets.
+    Built once per :class:`~repro.rt.wavefront.WavefrontTracer` (the
+    tracer memoizes it); carries only static tables, so one instance
+    records any number of bundles.
     """
 
     def __init__(self, tracer) -> None:
@@ -160,14 +164,12 @@ class PacketTraceRecorder:
     def record(self, origins, directions, t_clip=None, label="primary"):
         """Trace a bundle with recording; ``(PacketResult, traces)``.
 
-        The :class:`~repro.rt.packet.PacketResult` matches a plain
+        The :class:`~repro.rt.kernels.PacketResult` matches a plain
         ``trace_packet`` of the same bundle (the shade/blend stage runs
         on the same candidate sets), with ``rounds`` replaced by the
         reconstruction's exact per-ray round counts.  ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per ray, in ray order.
         """
-        from repro.rt.packet import PacketResult
-
         o = np.ascontiguousarray(origins, dtype=np.float64)
         d = np.ascontiguousarray(directions, dtype=np.float64)
         n = o.shape[0]
@@ -200,10 +202,12 @@ class PacketTraceRecorder:
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
 
-        visits, leaf_rays, leaf_refs = tracer._traverse_log(
-            tracer._root, o, inv_d, t_clip)
+        log: list = []
+        leaf_rays, leaf_refs = tracer._traverse_wave(
+            tracer._root, o, inv_d, t_clip, "root", log=log)
 
-        node_rows = _visit_tables(n, visits)
+        node_rows = _visit_tables(n, log)
+        del log
 
         tri_hits = sph_box = mesh_root = mesh_nodes = mesh_leaf_best = None
         o2c = d2c = None
@@ -211,7 +215,7 @@ class PacketTraceRecorder:
             tri_hits, ray_c, gid_c, t_proxy = self._tri_leaf_hits(
                 n, o, d, leaf_rays, leaf_refs)
         elif self.prims == PRIMS_GAUSSIANS:
-            ray_c, gid_c = tracer._leaf_customs(leaf_rays, leaf_refs)
+            ray_c, gid_c = tracer._wave_customs(leaf_rays, leaf_refs)
             t_proxy = None
         elif self._sphere_blas:
             sph_box, ray_c, gid_c, o2c, d2c = self._sphere_box_tables(
@@ -249,40 +253,27 @@ class PacketTraceRecorder:
         result.rounds = rounds_out
         return result, traces
 
-    def _leaf_pair_tables(self, level_start, level_count, leaf_rays,
-                          leaf_refs):
-        """(ray, primitive, leaf) pair arrays over a leaf visit list."""
-        ray_parts, prim_parts, leaf_parts = [], [], []
-        for rays, ref in zip(leaf_rays, leaf_refs):
-            count = int(level_count[ref])
-            start = int(level_start[ref])
-            prims = np.arange(start, start + count, dtype=np.int64)
-            ray_parts.append(np.repeat(rays, count))
-            prim_parts.append(np.tile(prims, rays.size))
-            leaf_parts.append(np.full(rays.size * count, ref, dtype=np.int64))
-        if not ray_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return (np.concatenate(ray_parts), np.concatenate(prim_parts),
-                np.concatenate(leaf_parts))
+    def _leaf_pair_tables(self, level, leaf_rays, leaf_refs):
+        """(ray, primitive, leaf) pair arrays over accepted (ray, leaf)
+        pairs."""
+        rp, pp = self.tracer._expand_pairs(level, leaf_rays, leaf_refs)
+        lf = np.repeat(leaf_refs, level.leaf_count[leaf_refs])
+        return rp, pp, lf
 
     def _tri_leaf_hits(self, n, o, d, leaf_rays, leaf_refs):
         """Per (ray, leaf) entering proxy hits as the scalar leaf loop
         sees them — sorted by ``(t, gid)``, deduplicated per Gaussian
         keeping the nearest — plus the global per-(ray, gid) candidates
         (nearest entering triangle over all leaves, the values the plain
-        packet path's reduction produces)."""
-        tables = self.tables
-        tracer = self.tracer
+        path's reduction produces)."""
         rp, tp, lf = self._leaf_pair_tables(
-            tables.leaf_start, tables.leaf_count, leaf_rays, leaf_refs)
+            self.tracer._root, leaf_rays, leaf_refs)
         out: list[dict] = [dict() for _ in range(n)]
         empty = np.empty(0, dtype=np.int64)
         if rp.size == 0:
             return out, empty, empty, np.empty(0)
         mesh = self.flat.mesh
-        sel, t = tracer._entering_hits(o[rp], d[rp], tp,
-                                       mesh.v0, mesh.e1, mesh.e2)
+        sel, t = entering_hits(o[rp], d[rp], tp, mesh.v0, mesh.e1, mesh.e2)
         if sel.size == 0:
             return out, empty, empty, np.empty(0)
         hr, hl = rp[sel], lf[sel]
@@ -315,13 +306,13 @@ class PacketTraceRecorder:
 
     def _instance_pairs(self, o, d, leaf_rays, leaf_refs):
         """The TLAS (ray, instance) pair bundle with object-space rays —
-        the recording twin of the head of ``_leaf_instances``."""
+        the recording twin of the head of ``_wave_instances``."""
         tracer = self.tracer
-        rp, pp = tracer._leaf_pairs(tracer._root, leaf_rays, leaf_refs)
+        rp, pp = tracer._expand_pairs(tracer._root, leaf_rays, leaf_refs)
         if rp.size == 0:
             return rp, pp, None, None, None
         gid = self.flat.prim_gid[pp]
-        o2, d2 = tracer._to_object_space(
+        o2, d2 = to_object_space(
             self.flat.inst_w2o_linear[pp], self.flat.inst_w2o_offset[pp],
             o[rp], d[rp])
         return rp, pp, gid, o2, d2
@@ -380,13 +371,14 @@ class PacketTraceRecorder:
             return none
         level = tracer._blas_levels[0]
         o_l, d_l = o2[live], d2[live]
-        bvisits, bleaf_rays, bleaf_refs = tracer._traverse_log(
-            level, o_l, inv_d2[live], clip[live])
+        blog: list = []
+        bleaf_rays, bleaf_refs = tracer._traverse_wave(
+            level, o_l, inv_d2[live], clip[live], "blas0", log=blog)
         # Each live pair is one (ray, instance): decode its BLAS visit
         # rows through the same helper as the root level (one home for
         # the DFS child-order rule), then key them by (ray, gid).
         live_l = live.tolist()
-        pair_tables = _visit_tables(live.size, bvisits)
+        pair_tables = _visit_tables(live.size, blog)
         for p, rows in enumerate(pair_tables):
             if rows:
                 i = live_l[p]
@@ -394,13 +386,11 @@ class PacketTraceRecorder:
 
         # Per (pair, BLAS leaf): nearest entering template triangle.
         blas = self._blas
-        pr, tp, lf = self._leaf_pair_tables(
-            level.leaf_start, level.leaf_count, bleaf_rays, bleaf_refs)
+        pr, tp, lf = self._leaf_pair_tables(level, bleaf_rays, bleaf_refs)
         if pr.size == 0:
             return none
-        sel, t = tracer._entering_hits(o_l[pr], d_l[pr], tp,
-                                       blas.mesh.v0, blas.mesh.e1,
-                                       blas.mesh.e2)
+        sel, t = entering_hits(o_l[pr], d_l[pr], tp, blas.mesh.v0,
+                               blas.mesh.e1, blas.mesh.e2)
         if sel.size == 0:
             return none
         pr, lf = pr[sel], lf[sel]
@@ -432,14 +422,12 @@ class PacketTraceRecorder:
         candidate pair: ``(t_entry, alpha)`` or ``False`` (rejected) —
         the vectorized mirror of ``SceneShading.evaluate_hit``, sharing
         the shade stage's expressions."""
-        from repro.rt.packet import PacketTracer
-
         shading = self.shading
         out: list[dict] = [dict() for _ in range(n)]
         if ray_c.size == 0:
             return out
         if o2 is None:
-            o2, d2 = PacketTracer._to_object_space(
+            o2, d2 = to_object_space(
                 shading.w2o_linear[gid_c], shading.w2o_offset[gid_c],
                 o[ray_c], d[ray_c])
         dd = d2[:, 0] * d2[:, 0] + d2[:, 1] * d2[:, 1] + d2[:, 2] * d2[:, 2]

@@ -1,48 +1,57 @@
 """Wavefront (breadth-first) ray traversal over the flattened layout.
 
-The packet engine (:mod:`repro.rt.packet`) already batches geometry
-work, but its *schedule* is still a depth-first walk: one Python-level
-stack iteration — several numpy calls on a tile-sized ray subset — per
-visited node.  On frame-sized batches the interpreter dispatch per node
-dominates again.  This module restructures traversal as a **wavefront**:
+The batched engine: the scalar :class:`~repro.rt.tracer.Tracer` walks
+the acceleration structure one ray at a time in pure Python; this module
+traces a whole ray batch (a tile's or a frame's) *together* over the one
+flattened layout every structure lowers to
+(:func:`repro.bvh.flatten.flatten`), with traversal restructured as a
+**wavefront**:
 
 * the unit of work is a frontier of live ``(ray, node)`` pairs, all at
-  the same tree depth, across the *whole frame's* ray set;
+  the same tree depth, across the whole batch;
 * each Python-level step gathers every pair's child boxes and runs
   **one** vectorized slab test over the entire frontier, so the number
-  of interpreter iterations drops from O(nodes visited) to O(tree
-  height);
+  of interpreter iterations is O(tree height), not O(nodes visited);
 * surviving internal pairs are compacted with ``np.nonzero`` and binned
   by node id with a stable ``np.argsort`` (gather coherence — pairs at
   the same node read the same child rows); leaf pairs are expanded to
   ``(ray, primitive)`` candidates with ``np.repeat`` offsets from the
   leaf-count prefix sums;
-* leaf batches then flow through the exact shared kernels the packet
-  engine uses (:mod:`repro.rt.kernels`): one masked Möller–Trumbore per
-  candidate batch, the batched sphere-BLAS root test, and the canonical
-  any-hit + front-to-back blend.
+* two-level structures gather TLAS instance records, transform the live
+  ``(ray, instance)`` bundle into BLAS object space in one batch, and
+  intersect each shared BLAS *once* with its instance group (the
+  unit-sphere BLAS is a batched root-box test, a template mesh BLAS
+  reuses the same frontier traversal with the pair bundle as its rays);
+* leaf batches then flow through the shared kernels
+  (:mod:`repro.rt.kernels`): one masked Möller–Trumbore per candidate
+  batch, the batched sphere-BLAS root test, and the canonical any-hit +
+  vectorized front-to-back blend.
 
 **Parity argument.**  The accept test per ``(ray, node)`` pair is the
-same elementwise arithmetic as the packet engine's (and the scalar
-slab), and neither engine prunes by a shrinking ``t_max`` — so
-breadth-first and depth-first order visit the *identical* pair set and
-produce the identical candidate multiset.  Every kernel after traversal
-is elementwise per candidate, and the blend stage sorts by the fully
-determining ``(ray, t, gid)`` key before any order-sensitive
-accumulation.  Candidate *order* is the only thing the schedule
-changes, and nothing downstream depends on it — hence bit-identical
-images and exactly equal counters across all three engines.
+scalar slab's elementwise arithmetic with ``t_min = 0`` and no
+shrinking ``t_max``, so the frontier visits a superset of what any
+scalar tracing round visits and produces the candidate multiset of all
+hits.  Every kernel after traversal is elementwise per candidate, and
+the blend stage sorts by the fully determining ``(ray, t, gid)`` key
+before any order-sensitive accumulation.  Two properties of the
+(tie-fixed) multi-round algorithm close the argument: each round's
+k-buffer holds exactly the k closest remaining hits, so the blend
+sequence across rounds is the globally ``(t, gid)``-sorted hit list
+capped at ``max_rounds * k`` entries; and early termination is a
+monotone threshold on the running transmittance, so it commutes with
+computing all hits first.  Hence images within 1e-9 per channel of the
+scalar tracer and exactly equal ``n_rays`` / ``blended_total`` /
+``rays_terminated_early``.
 
-Heterogeneous TLAS scenes (per-instance multi-BLAS tables, activated
-with this engine) work day one: instance candidates are grouped by
-their ``inst_blas`` slot and each shared BLAS is intersected once with
-its group — the same (previously dormant) grouping the packet engine
-carries.
+The traversal can also log every visited pair's child slab rows
+(``log=``): :mod:`repro.rt.tracerecord` folds that log into per-ray
+scalar-identical fetch traces.  GRTX-HW checkpointing stays on the
+scalar engine (:func:`repro.rt.packet.resolve_engine` routes it there).
 
 Per-phase ``repro.obs`` histograms: ``rt.phase.bin`` (frontier
-compaction: nonzero/argsort/expand) alongside the same
-``rt.phase.traversal`` / ``rt.phase.intersect`` / ``rt.phase.blend``
-the other engines report, so the phase breakdown compares directly.
+compaction: nonzero/argsort/expand) alongside ``rt.phase.traversal`` /
+``rt.phase.intersect`` / ``rt.phase.blend``, the split the scalar
+tracer reports, so the phase breakdown compares directly.
 """
 
 from __future__ import annotations
@@ -53,85 +62,102 @@ import numpy as np
 
 from repro.obs import get_registry, span
 
-from repro.bvh.flatten import BLAS_SPHERE, PRIMS_GAUSSIANS, PRIMS_TRIANGLES
-from repro.bvh.node import KIND_INTERNAL
-from repro.rt.kernels import Level, PacketResult, entering_hits, sphere_blas_hits
-from repro.rt.packet import (
-    WAVEFRONT_MIN_RAYS,
-    PacketTracer,
-    fallback_reason,
-    packet_supported,
+from repro.bvh.flatten import (
+    BLAS_SPHERE,
+    PRIMS_GAUSSIANS,
+    PRIMS_TRIANGLES,
+    flatten,
 )
+from repro.bvh.node import KIND_INTERNAL
+from repro.rt.kernels import (
+    Level,
+    PacketResult,
+    empty_result,
+    entering_hits,
+    shade_and_blend,
+    sphere_blas_hits,
+    to_object_space,
+)
+from repro.rt.packet import fallback_reason, packet_supported
+from repro.rt.shading import SceneShading
 from repro.rt.tracer import TraceConfig
 
-__all__ = [
-    "WAVEFRONT_MIN_RAYS",
-    "WAVEFRONT_RAY_CHUNK",
-    "WavefrontTracer",
-    "wavefront_supported",
-]
+__all__ = ["WavefrontTracer"]
 
-#: Rays per wavefront chunk.  Frontier temporaries scale with the live
-#: pair count (bounded separately by :data:`_MAX_FRONTIER`), so the ray
-#: chunk can be far larger than the packet engine's — a whole frame in
-#: one chunk is the common case.  The serving layer tunes the effective
-#: chunk per scene from measured frame costs (``TileCostModel``).
-WAVEFRONT_RAY_CHUNK = 1 << 16
+#: Rays per traced chunk; bounds the candidate arrays and the dense
+#: per-ray blend matrix, which scale with the ray count.  A frame-sized
+#: batch is one chunk in the common case.
+_RAY_CHUNK = 1 << 16
 
 #: Maximum live pairs slab-tested in one vectorized step; bounds the
-#: (pairs, width, 3) broadcast temporaries to tens of MB.  Splitting a
+#: (pairs, width) per-axis temporaries to tens of MB.  Splitting a
 #: frontier changes nothing numerically (every op is elementwise).
 _MAX_FRONTIER = 1 << 17
 
 _INF = float("inf")
 
 
-def wavefront_supported(structure, config) -> bool:
-    """Whether the wavefront engine covers this (structure, config)
-    pair — exactly the packet engine's predicate: both consume the one
-    flattened layout and neither does GRTX-HW checkpointing."""
-    return packet_supported(structure, config)
+class WavefrontTracer:
+    """Traces ray batches breadth-first through one flattened scene
+    structure.
 
-
-class WavefrontTracer(PacketTracer):
-    """Traces whole-frame ray sets breadth-first through one flattened
-    scene structure.
-
-    Construction and the public API mirror
-    :class:`~repro.rt.packet.PacketTracer` (``trace_packet`` /
-    ``trace_packet_recorded``), so every consumer of the packet engine
-    can hold either.  Only the traversal schedule differs; the leaf and
-    blend kernels are shared, which is what keeps the engines
-    bit-identical.  Like the scalar tracer, one instance serves one
-    caller at a time (it carries small per-trace phase-timing scratch).
+    Built once per (structure, shading, config) like the scalar
+    :class:`~repro.rt.tracer.Tracer`.  Accepts raw structures (flattened
+    on construction, memoized) or an already-flattened
+    :class:`~repro.bvh.flatten.FlatStructure`.  Like the scalar tracer,
+    one instance serves one caller at a time (it carries small
+    per-trace phase-timing scratch).
     """
 
     def __init__(
         self,
         structure,
-        shading,
+        shading: SceneShading,
         config: TraceConfig | None = None,
-        ray_chunk: int = WAVEFRONT_RAY_CHUNK,
     ) -> None:
         config = config or TraceConfig()
-        if not wavefront_supported(structure, config):
+        if not packet_supported(structure, config):
             raise ValueError(
                 "wavefront engine supports flattenable structures without "
                 "checkpointing; use the scalar Tracer "
                 f"({fallback_reason(structure, config)})")
-        super().__init__(structure, shading, config)
-        self.ray_chunk = int(ray_chunk)
+        flat = flatten(structure)
+        self.structure = structure
+        self.flat = flat
+        self.shading = shading
+        self.config = config
+        self._recorder = None
+        self._root = Level(flat.root)
+        self._prims = flat.root_prims
+        if flat.root_prims == PRIMS_TRIANGLES:
+            mesh = flat.mesh
+            self._v0, self._e1, self._e2 = mesh.v0, mesh.e1, mesh.e2
+            self._owner = mesh.owner
+        else:
+            # Custom primitives or instances: leaf-ordered Gaussian ids.
+            self._gids = flat.prim_gid
+        if flat.two_level:
+            # The instance table (leaf-ordered, aligned with prim_gid) —
+            # bit-equal to the shading tables by construction, which the
+            # test suite guards, so consuming it preserves scalar parity.
+            self._inst_lin = flat.inst_w2o_linear
+            self._inst_off = flat.inst_w2o_offset
+            self._inst_blas = flat.inst_blas
+            self._blas = flat.blas
+            self._blas_levels = [
+                Level(b.bvh) if b.bvh is not None else None
+                for b in flat.blas
+            ]
+            self._blas_roots = [
+                b.bvh.root_box() if b.bvh is not None else None
+                for b in flat.blas
+            ]
         #: Seconds spent in frontier compaction during the current
         #: chunk (reset per chunk; reported as ``rt.phase.bin``).
         self._bin_s = 0.0
         #: Per-level axis-major box tables (built on first traversal of
-        #: each level, keyed by the level's stable slot name): ``(3,
-        #: n_nodes, width)`` C-contiguous, so the frontier's per-axis
-        #: gather reads contiguous rows.
-        self._axis_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: Lazy plain packet tracer backing ``trace_packet_recorded``
-        #: (the recorder replays depth-first control flow).
-        self._record_delegate: PacketTracer | None = None
+        #: each level, keyed by the level's stable slot name).
+        self._axis_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -143,7 +169,12 @@ class WavefrontTracer(PacketTracer):
         directions: np.ndarray,
         t_clip: np.ndarray | None = None,
     ) -> PacketResult:
-        """Trace a frame-sized bundle of rays to completion."""
+        """Trace a bundle of rays to completion.
+
+        ``t_clip`` optionally bounds each ray's traced segment (analytic
+        scene objects truncating primaries), per ray; ``None`` means
+        unbounded.
+        """
         o = np.ascontiguousarray(origins, dtype=np.float64)
         d = np.ascontiguousarray(directions, dtype=np.float64)
         n = o.shape[0]
@@ -153,14 +184,13 @@ class WavefrontTracer(PacketTracer):
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
             return self._empty_result(0)
-        chunk = max(int(self.ray_chunk), 1)
         with span("rt.wavefront.trace", rays=n):
-            if n <= chunk:
+            if n <= _RAY_CHUNK:
                 return self._trace_chunk(o, d, t_clip)
             parts = [
-                self._trace_chunk(o[i:i + chunk], d[i:i + chunk],
-                                  t_clip[i:i + chunk])
-                for i in range(0, n, chunk)
+                self._trace_chunk(o[i:i + _RAY_CHUNK], d[i:i + _RAY_CHUNK],
+                                  t_clip[i:i + _RAY_CHUNK])
+                for i in range(0, n, _RAY_CHUNK)
             ]
             return PacketResult.concatenate(parts, self.config.record_blended)
 
@@ -173,25 +203,28 @@ class WavefrontTracer(PacketTracer):
     ):
         """Trace a bundle *and* record per-ray fetch traces.
 
-        The trace recorder reconstructs per-ray *depth-first* control
-        flow (that is what the scalar RT unit executes and the timing
-        model replays), so recording runs on an internal packet tracer
-        over the same flattened tables — identical results, identical
-        traces; the wavefront schedule only accelerates the unrecorded
-        path.
+        Returns ``(PacketResult, traces)`` where ``traces`` is one
+        :class:`~repro.rt.recorder.RayTrace` per input ray, stream- and
+        counter-equal to what the scalar tracer would have recorded (the
+        timing model replays either interchangeably).  The result's
+        ``rounds`` array carries the reconstructed exact round counts.
+        See :mod:`repro.rt.tracerecord` for the recording pipeline.
         """
-        if self._record_delegate is None:
-            self._record_delegate = PacketTracer(
-                self.flat, self.shading, self.config)
-        return self._record_delegate.trace_packet_recorded(
-            origins, directions, t_clip, label)
+        from repro.rt.tracerecord import PacketTraceRecorder
+
+        if self._recorder is None:
+            self._recorder = PacketTraceRecorder(self)
+        return self._recorder.record(origins, directions, t_clip, label)
 
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
 
+    def _empty_result(self, n: int) -> PacketResult:
+        return empty_result(n, self.config.record_blended)
+
     def _trace_chunk(self, o, d, t_clip) -> PacketResult:
-        # Same degenerate-direction guard as the other engines, so slab
+        # Same degenerate-direction guard as the scalar tracer, so slab
         # tests agree bit-for-bit.
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
@@ -228,15 +261,13 @@ class WavefrontTracer(PacketTracer):
     def _axis_boxes(self, level: Level, key: str) -> np.ndarray:
         """Axis-major ``(6, n_nodes, width)`` copy of a level's boxes.
 
-        ``Level`` stores slot-major ``(n_nodes, width, 3)`` tables shared
-        with the packet engine; the wavefront slab test gathers one axis
-        plane at a time, so plane ``2a``/``2a+1`` holds axis ``a``'s
-        lo/hi as its own contiguous ``(n_nodes, width)`` table (gathers
-        from a contiguous plane produce contiguous outputs the in-place
-        ufuncs run fastest on).  Cached under the level's slot name
-        ("root" or "blas<i>") — the tracer owns its levels and they are
-        immutable after flattening, so the names are stable for the
-        tracer's lifetime.
+        ``Level`` stores slot-major ``(n_nodes, width, 3)`` tables; the
+        slab test gathers one axis plane at a time, so plane ``2a`` /
+        ``2a+1`` holds axis ``a``'s lo/hi as its own contiguous
+        ``(n_nodes, width)`` table (gathers from a contiguous plane
+        produce contiguous outputs the in-place ufuncs run fastest on).
+        Cached under the level's slot name ("root" or "blas<i>") — the
+        tracer owns its levels and they are immutable after flattening.
         """
         cached = self._axis_cache.get(key)
         if cached is None:
@@ -255,17 +286,24 @@ class WavefrontTracer(PacketTracer):
         inv_d: np.ndarray,
         t_clip: np.ndarray,
         cache_key: str,
+        log: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first traversal of one flattened level.
 
-        One frontier of ``(ray, node)`` pairs per depth; each iteration
-        runs one gathered slab test over the whole frontier (sliced at
-        :data:`_MAX_FRONTIER` pairs to bound temporaries) and compacts
-        survivors.  Returns the accepted ``(ray, leaf record)`` pairs as
-        flat parallel arrays.  The accept test matches the packet
-        engine's :meth:`~repro.rt.packet.PacketTracer._traverse`
-        elementwise, and there is no ``t_max`` pruning — so both visit
-        the identical pair set (see the module docstring).
+        The "rays" are whatever bundle the level is traversed with —
+        camera rays for the root level, object-space (ray, instance)
+        pairs for a shared mesh BLAS.  One frontier of ``(ray, node)``
+        pairs per depth; each iteration runs one gathered slab test over
+        the whole frontier (sliced at :data:`_MAX_FRONTIER` pairs to
+        bound temporaries) and compacts survivors.  Returns the accepted
+        ``(ray, leaf record)`` pairs as flat parallel arrays.
+
+        With ``log`` given, every slab-tested slice appends ``(rays,
+        nodes, tn, tf, hit)``: per visited pair, its child slab results
+        for *all* slots and the accept mask — the geometry the trace
+        recorder reconstructs per-ray control flow from.  Each ``(ray,
+        node)`` pair is visited at most once (a tree node has one
+        parent).
         """
         kinds = level.child_kind
         refs = level.child_ref
@@ -288,12 +326,11 @@ class WavefrontTracer(PacketTracer):
                 fn = f_nodes[s0:s0 + _MAX_FRONTIER]
                 # Axis-split slab test: per-axis contiguous
                 # (pairs, width) gathers updated in place — 3x smaller
-                # temporaries than the (pairs, width, 3) broadcast, and
-                # every ufunc runs on contiguous memory.  Elementwise
-                # the arithmetic is the packet engine's exactly
+                # temporaries than a (pairs, width, 3) broadcast.
+                # Elementwise the arithmetic is the scalar slab's
                 # ((lo-o)*inv per axis, min/max per axis, then an
-                # associative max/min across axes), so accept decisions
-                # are bit-equal.
+                # associative max/min across axes), so tn/tf and the
+                # accept decisions are bit-equal.
                 tn = tf = None
                 for a in range(3):
                     roa = oT[a][fr][:, None]
@@ -312,12 +349,14 @@ class WavefrontTracer(PacketTracer):
                         np.maximum(tn, near, out=tn)
                         np.minimum(tf, far, out=tf)
                 k = kinds[fn]
-                # Same accept test as the packet/scalar slab (t_min = 0,
-                # no shrinking t_max); empty slots masked by kind.
+                # Same accept test as the scalar slab (t_min = 0, no
+                # shrinking t_max); empty slots masked by kind.
                 hit = tn <= tf
                 hit &= tf >= 0.0
                 hit &= tn <= t_clip[fr, None]
                 hit &= k != 0
+                if log is not None:
+                    log.append((fr, fn, tn, tf, hit))
                 b0 = time.perf_counter()
                 pair, slot = np.nonzero(hit)
                 child_kind = k[pair, slot]
@@ -337,8 +376,8 @@ class WavefrontTracer(PacketTracer):
             if f_nodes.size:
                 # Bin the next frontier by node id (stable, so rays stay
                 # ordered within a bin): pairs at the same node gather
-                # the same child rows — cache-coherent gathers, and the
-                # deterministic order the parity contract wants.
+                # the same child rows — cache-coherent gathers, and a
+                # deterministic order.
                 order = np.argsort(f_nodes, kind="stable")
                 f_rays = f_rays[order]
                 f_nodes = f_nodes[order]
@@ -351,34 +390,29 @@ class WavefrontTracer(PacketTracer):
         self._bin_s += time.perf_counter() - b0
         return l_rays, l_refs
 
-    @staticmethod
     def _expand_pairs(
-        level: Level, l_rays: np.ndarray, l_refs: np.ndarray
+        self, level: Level, l_rays: np.ndarray, l_refs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand accepted ``(ray, leaf)`` pairs into ``(ray,
-        ordered-primitive)`` candidate pairs in one shot.
-
-        ``np.repeat`` by per-leaf counts plus an offset ramp derived
-        from the counts' prefix sum — the vectorized equivalent of the
-        packet engine's per-leaf-visit repeat/tile, producing the same
-        candidate multiset.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        if l_rays.size == 0:
-            return empty, empty
-        counts = level.leaf_count[l_refs].astype(np.int64)
-        starts = level.leaf_start[l_refs].astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return empty, empty
-        rp = np.repeat(l_rays, counts)
-        ends = np.cumsum(counts)
-        offsets = (np.arange(total, dtype=np.int64)
-                   - np.repeat(ends - counts, counts))
-        pp = np.repeat(starts, counts) + offsets
+        ordered-primitive)`` candidate pairs in one shot: ``np.repeat``
+        by per-leaf counts plus an offset ramp derived from the counts'
+        prefix sum."""
+        b0 = time.perf_counter()
+        rp = pp = np.empty(0, dtype=np.int64)
+        if l_rays.size:
+            counts = level.leaf_count[l_refs].astype(np.int64)
+            starts = level.leaf_start[l_refs].astype(np.int64)
+            total = int(counts.sum())
+            if total:
+                rp = np.repeat(l_rays, counts)
+                ends = np.cumsum(counts)
+                offsets = (np.arange(total, dtype=np.int64)
+                           - np.repeat(ends - counts, counts))
+                pp = np.repeat(starts, counts) + offsets
+        self._bin_s += time.perf_counter() - b0
         return rp, pp
 
-    # -- leaf stages (pair-array twins of the packet leaf methods) -----
+    # -- leaf stages ---------------------------------------------------
 
     def _wave_triangles(
         self,
@@ -388,13 +422,16 @@ class WavefrontTracer(PacketTracer):
         l_refs: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Monolithic triangle leaves: one masked Möller–Trumbore over
-        every candidate pair, reduced to the nearest entering triangle
-        per (ray, gaussian) — the packet engine's reduction on the
-        breadth-first candidate order (the full-key sort makes the
-        selected values order-independent)."""
-        b0 = time.perf_counter()
+        every candidate pair.
+
+        Returns per-(ray, gaussian) candidates with the proxy entry
+        depth: backface-culled entering hits, reduced to the nearest
+        entering triangle per Gaussian (the proxy meshes are convex, so
+        a ray has at most one entering hit per Gaussian and the
+        reduction is exact; the full-key sort makes the selected values
+        independent of candidate order).
+        """
         rp, tp = self._expand_pairs(self._root, l_rays, l_refs)
-        self._bin_s += time.perf_counter() - b0
         if rp.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.empty(0)
@@ -416,10 +453,8 @@ class WavefrontTracer(PacketTracer):
         self, l_rays: np.ndarray, l_refs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Custom-primitive leaves: candidates are the (ray, gaussian)
-        pairs directly."""
-        b0 = time.perf_counter()
+        pairs directly (each Gaussian lives in exactly one leaf)."""
         rp, pp = self._expand_pairs(self._root, l_rays, l_refs)
-        self._bin_s += time.perf_counter() - b0
         if rp.size == 0:
             return rp, pp
         return rp, self._gids[pp]
@@ -435,15 +470,22 @@ class WavefrontTracer(PacketTracer):
         """TLAS leaves: transform the candidate bundle through its
         instances and intersect each shared BLAS once with its slot
         group — including the heterogeneous multi-BLAS case, where
-        ``inst_blas`` partitions the bundle per template."""
+        ``inst_blas`` partitions the bundle per template.
+
+        Returns ``(ray_c, gid_c, t_proxy, o2, d2)``.  Sphere-BLAS
+        candidates carry no proxy depth (the exact ellipsoid entry
+        distance is the sort key); mesh-BLAS candidates carry the
+        nearest entering template-triangle depth (NaN marks exact-depth
+        entries when BLAS kinds mix).  ``o2``/``d2`` are the surviving
+        candidates' object-space rays, handed to the shade stage so it
+        does not re-transform.
+        """
         empty = np.empty(0, dtype=np.int64)
-        b0 = time.perf_counter()
         rp, pp = self._expand_pairs(self._root, l_rays, l_refs)
-        self._bin_s += time.perf_counter() - b0
         if rp.size == 0:
             return empty, empty, None, None, None
         gid = self._gids[pp]
-        o2, d2 = self._to_object_space(
+        o2, d2 = to_object_space(
             self._inst_lin[pp], self._inst_off[pp], o[rp], d[rp])
 
         sub_parts: list[np.ndarray] = []
@@ -483,9 +525,12 @@ class WavefrontTracer(PacketTracer):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Traverse one shared mesh BLAS breadth-first with a whole
         instance group, then reduce to the nearest entering template
-        triangle per pair — the packet engine's
-        :meth:`~repro.rt.packet.PacketTracer._mesh_blas_hits` on the
-        wavefront schedule."""
+        triangle per pair — the scalar ``_traverse_blas``'s ``best``.
+
+        Returns ``(sel, t)``: indices into the input group with a hit,
+        and the proxy depths (object-space t equals world t; the
+        transform is affine in the ray parameter).
+        """
         safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
         inv_d2 = 1.0 / safe
         root_lo, root_hi = self._blas_roots[slot]
@@ -501,9 +546,7 @@ class WavefrontTracer(PacketTracer):
         o_l, d_l = o2[live], d2[live]
         l_rays, l_refs = self._traverse_wave(level, o_l, inv_d2[live],
                                              clip[live], f"blas{slot}")
-        b0 = time.perf_counter()
         pr, tp = self._expand_pairs(level, l_rays, l_refs)
-        self._bin_s += time.perf_counter() - b0
         if pr.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
         mesh = blas.mesh
@@ -517,3 +560,21 @@ class WavefrontTracer(PacketTracer):
         first = np.ones(pr.size, dtype=bool)
         first[1:] = pr[1:] != pr[:-1]
         return live[pr[first]], t[first]
+
+    # -- shade & blend -------------------------------------------------
+
+    def _shade_and_blend(
+        self,
+        o: np.ndarray,
+        d: np.ndarray,
+        t_clip: np.ndarray,
+        ray_c: np.ndarray,
+        gid_c: np.ndarray,
+        t_proxy: np.ndarray | None,
+        o2: np.ndarray | None = None,
+        d2: np.ndarray | None = None,
+    ) -> PacketResult:
+        """Canonical any-hit evaluation + front-to-back blend, batched
+        (see :func:`repro.rt.kernels.shade_and_blend`)."""
+        return shade_and_blend(self.shading, self.config, o, d, t_clip,
+                               ray_c, gid_c, t_proxy, o2=o2, d2=d2)

@@ -115,32 +115,25 @@ class RenderRequest:
 
     @property
     def engine_active(self) -> str:
-        """The engine that will actually trace this request.
+        """The engine that will actually trace this request:
+        ``"wavefront"`` or ``"scalar"``.
 
         Evaluates :func:`repro.rt.packet.packet_supported`'s rule from
         request fields alone (the proxy label stands in for the
         structure family), so cache keys always carry the engine a
-        render would really use — in particular ``engine="auto"``
-        resolves *before* any frame or tracer key is formed.  ``"auto"``
-        picks the wavefront engine when the frame carries at least
-        :data:`repro.rt.packet.WAVEFRONT_MIN_RAYS` rays, the packet
-        engine for smaller frames.
+        render would really use — ``"auto"`` and the ``"packet"`` alias
+        resolve *before* any frame or tracer key is formed.
         """
         from repro.rt.packet import (
+            BATCHED_ENGINES,
             PACKET_PROXIES,
-            WAVEFRONT_MIN_RAYS,
             packet_config_supported,
         )
 
-        if (self.engine in ("packet", "wavefront", "auto")
+        if ((self.engine in BATCHED_ENGINES or self.engine == "auto")
                 and self.proxy in PACKET_PROXIES
                 and packet_config_supported(self.trace_config())):
-            if self.engine == "wavefront":
-                return "wavefront"
-            if (self.engine == "auto"
-                    and self.width * self.height >= WAVEFRONT_MIN_RAYS):
-                return "wavefront"
-            return "packet"
+            return "wavefront"
         return "scalar"
 
     def trace_config(self) -> TraceConfig:
@@ -150,13 +143,16 @@ class RenderRequest:
         """Frame-cache key: scene *content* + camera + trace config.
 
         Everything that can change a pixel is in here; nothing else is,
-        so equivalent requests coalesce onto one cache entry. The
-        *effective* engine is included (engines are parity-matched only
-        to 1e-9 per channel, not bit-identical) — keying on the
-        requested engine would re-render and double-cache fallback
-        combinations whose frames are bit-identical to scalar ones.
+        so equivalent requests coalesce onto one cache entry. The key
+        holds :meth:`trace_config`, not the mode name: modes that trace
+        alike (``baseline``/``grtx-sw``, ``grtx-hw``/``grtx``) share
+        frames. The *effective* engine is included (engines are
+        parity-matched only to 1e-9 per channel, not bit-identical) —
+        keying on the requested engine would re-render and double-cache
+        fallback combinations whose frames are bit-identical to scalar
+        ones.
         """
-        return (scene_hash, self.proxy, self.mode, self.k,
+        return (scene_hash, self.proxy, self.trace_config(),
                 self.width, self.height, self.camera, self.engine_active)
 
 

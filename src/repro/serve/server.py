@@ -490,11 +490,10 @@ class RenderServer:
         camera = self._camera_for(request, cloud)
         config = request.trace_config()
         # Resolve the engine exactly once per rendered request (counting
-        # a degraded explicit "packet" exactly once, whatever the tracer
+        # a degraded explicit batched engine exactly once, whatever the tracer
         # cache holds), then hand the concrete engine to the renderer
         # and scheduler so nothing downstream re-resolves.
-        engine = resolve_engine(request.engine, structure, config,
-                                n_rays=request.width * request.height)
+        engine = resolve_engine(request.engine, structure, config)
         renderer = None
         tracer_key = None
         if self.scheduler.workers <= 1:
@@ -600,13 +599,12 @@ class RenderServer:
     def _gauges(self) -> dict[str, float]:
         """Instantaneous load gauges merged into metric snapshots.
 
-        ``packet_fallbacks`` counts engine="packet" requests that
-        degraded to the scalar tracer. It reads the process-global
-        registry counter ``rt.packet_fallbacks`` rather than the legacy
-        in-process global: worker processes fold their fallback counts
-        into that registry with every task result, so pooled renders
-        whose fallback fired *inside a worker* are counted too (the old
-        gauge silently missed them).
+        ``packet_fallbacks`` counts explicit batched-engine requests
+        that degraded to the scalar tracer. It reads the registry
+        counter ``rt.packet_fallbacks``, the one fallback count: worker
+        processes fold theirs into that registry with every task result,
+        so pooled renders whose fallback fired *inside a worker* are
+        counted too.
         """
         pool = self.scheduler.pool
         with self._dispatch_lock:

@@ -342,8 +342,8 @@ def test_parity_surface_comes_from_the_import_graph():
     result = run_lint()
     assert "repro.render.renderer" in result.parity_modules
     assert "repro.rt.tracer" in result.parity_modules
-    # The wavefront engine sits behind the same parity contract as the
-    # packet engine, so the lint invariants apply to it too.
+    # The batched wavefront engine sits behind the same parity contract
+    # as the scalar tracer, so the lint invariants apply to it too.
     assert "repro.rt.wavefront" in result.parity_modules
     assert "repro.bvh.flatten" in result.parity_modules
     # Layers above the render path are not on the surface.

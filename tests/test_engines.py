@@ -1,19 +1,20 @@
 """The cross-engine parity matrix: every structure x mode x engine.
 
-One parameterized table drives all three engines (scalar, packet,
-wavefront) over the full structural matrix — both monolithic proxies,
-both homogeneous two-level structures, and the heterogeneous
-multi-BLAS TLAS — in both trace modes.  The standing contract checked
-here (ISSUE 7):
+One parameterized table drives both engines (scalar and wavefront, the
+latter also through its ``packet`` alias) over the full structural
+matrix — both monolithic proxies, both homogeneous two-level
+structures, and the heterogeneous multi-BLAS TLAS — in both trace
+modes.  The standing contract checked here:
 
-* every batch engine matches the scalar golden within 1e-9 per channel;
+* the batched engine matches the scalar golden within 1e-9 per channel;
 * the parity-matched functional counters (``n_rays``, ``n_primary``,
   ``n_secondary``, ``blended_total``, ``rays_terminated_early``) agree
   exactly;
-* the wavefront engine is additionally *bit-identical* to the packet
-  engine (same candidate multiset, same order-free reductions);
-* ``resolve_engine`` rejects unknown engines loudly and sizes "auto"
-  by the ray count.
+* ``packet`` is an alias: it resolves to ``wavefront`` before any cache
+  key exists and traces bit-identically;
+* the ray-chunk and frontier memory bounds are invisible in the output;
+* ``resolve_engine`` rejects unknown engines loudly;
+* a pooled tiled frame is bit-identical to the serial untiled render.
 """
 
 from __future__ import annotations
@@ -24,21 +25,17 @@ import pytest
 from repro.bvh import build_monolithic, build_two_level
 from repro.bvh.two_level import build_two_level_hetero
 from repro.render import GaussianRayTracer, default_camera_for
-from repro.rt import (
-    WAVEFRONT_MIN_RAYS,
-    PacketTracer,
-    SceneShading,
-    TraceConfig,
-    WavefrontTracer,
-)
+from repro.rt import SceneShading, TraceConfig, WavefrontTracer
+from repro.rt import wavefront as wavefront_mod
 from repro.rt.packet import resolve_engine
+from repro.serve import RenderRequest, TileScheduler
 
 from tests.conftest import tiny_cloud
 
 #: The image parity bound from the acceptance criteria.
 TOL = 1e-9
 
-#: Counters that must agree exactly across all three engines.
+#: Counters that must agree exactly across the engines.
 PARITY_COUNTERS = ("n_rays", "n_primary", "n_secondary",
                    "blended_total", "rays_terminated_early")
 
@@ -49,7 +46,7 @@ ALL_STRUCTURES = ["20-tri", "custom", "tlas+sphere", "tlas+ico", "hetero"]
 
 MODES = ["multiround", "singleround"]
 
-ENGINES = ["scalar", "packet", "wavefront"]
+ENGINES = ["scalar", "wavefront"]
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +88,12 @@ class TestEngineMatrix:
     @pytest.mark.parametrize("engine", ["packet", "wavefront"])
     def test_engine_matches_scalar_golden(self, cloud, structures, goldens,
                                           structure_name, mode, engine):
+        """The batched engine, requested by name or by its alias."""
         config = TraceConfig(k=4, mode=mode)
         camera = default_camera_for(cloud, 10, 10)
         renderer = GaussianRayTracer(cloud, structures[structure_name],
                                      config, engine=engine)
-        assert renderer.engine_active == engine
+        assert renderer.engine_active == "wavefront"
         result = renderer.render(camera, keep_traces=False)
         golden = goldens[structure_name, mode]
         assert np.abs(golden.image - result.image).max() <= TOL
@@ -107,26 +105,24 @@ class TestEngineMatrix:
     @pytest.mark.parametrize("structure_name", ALL_STRUCTURES)
     def test_wavefront_bit_identical_to_packet(self, cloud, structures,
                                                structure_name, mode):
-        """Stronger than the 1e-9 bound: identical visit sets plus
-        order-free reductions make the two batch engines bit-equal."""
+        """``packet`` is an alias of ``wavefront``: a renderer asked for
+        either traces with the same engine and renders the same bits."""
         config = TraceConfig(k=4, mode=mode)
         camera = default_camera_for(cloud, 10, 10)
-        bundle = camera.generate_rays()
-        shading = SceneShading(cloud)
         structure = structures[structure_name]
-        packet = PacketTracer(structure, shading, config).trace_packet(
-            bundle.origins, bundle.directions)
-        wavefront = WavefrontTracer(structure, shading, config).trace_packet(
-            bundle.origins, bundle.directions)
-        assert np.array_equal(packet.colors, wavefront.colors)
-        assert np.array_equal(packet.transmittance, wavefront.transmittance)
-        assert np.array_equal(packet.blended, wavefront.blended)
-        assert np.array_equal(packet.terminated, wavefront.terminated)
-        assert packet.anyhit_calls == wavefront.anyhit_calls
-        assert packet.false_positives == wavefront.false_positives
+        packet = GaussianRayTracer(cloud, structure, config, engine="packet")
+        wavefront = GaussianRayTracer(cloud, structure, config,
+                                      engine="wavefront")
+        assert packet.engine_active == wavefront.engine_active == "wavefront"
+        a = packet.render(camera, keep_traces=False)
+        b = wavefront.render(camera, keep_traces=False)
+        assert np.array_equal(a.image, b.image)
+        assert a.stats == b.stats
 
-    def test_wavefront_chunking_is_invisible(self, cloud, structures):
-        """Odd ray-chunk sizes must not change a single bit."""
+    def test_wavefront_chunking_is_invisible(self, cloud, structures,
+                                             monkeypatch):
+        """Odd ray-chunk and frontier-slice sizes (the engine's two
+        memory bounds) must not change a single bit."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 10, 10)
         bundle = camera.generate_rays()
@@ -134,12 +130,14 @@ class TestEngineMatrix:
         structure = structures["tlas+sphere"]
         whole = WavefrontTracer(structure, shading, config).trace_packet(
             bundle.origins, bundle.directions)
-        chunked_tracer = WavefrontTracer(structure, shading, config,
-                                         ray_chunk=17)
-        chunked = chunked_tracer.trace_packet(bundle.origins,
-                                              bundle.directions)
+        monkeypatch.setattr(wavefront_mod, "_RAY_CHUNK", 17)
+        monkeypatch.setattr(wavefront_mod, "_MAX_FRONTIER", 13)
+        chunked = WavefrontTracer(structure, shading, config).trace_packet(
+            bundle.origins, bundle.directions)
         assert np.array_equal(whole.colors, chunked.colors)
+        assert np.array_equal(whole.transmittance, chunked.transmittance)
         assert np.array_equal(whole.blended, chunked.blended)
+        assert np.array_equal(whole.terminated, chunked.terminated)
 
 
 class TestResolveEngineHardening:
@@ -153,44 +151,60 @@ class TestResolveEngineHardening:
         with pytest.raises(ValueError, match="scalar, packet, wavefront"):
             resolve_engine("gpu", structures["tlas+sphere"], config)
 
-    def test_auto_sizes_by_ray_count(self, structures):
+    def test_packet_and_auto_alias_wavefront(self, structures):
+        """``packet``, ``wavefront`` and ``auto`` resolve identically at
+        every batch size, and requests naming them share a frame key."""
         config = TraceConfig(k=4)
         structure = structures["tlas+sphere"]
-        assert resolve_engine("auto", structure, config,
-                              n_rays=WAVEFRONT_MIN_RAYS) == "wavefront"
-        assert resolve_engine("auto", structure, config,
-                              n_rays=WAVEFRONT_MIN_RAYS - 1) == "packet"
-        # No ray count: conservative, frame size unknown.
-        assert resolve_engine("auto", structure, config) == "packet"
+        for engine in ("packet", "wavefront", "auto"):
+            assert resolve_engine(engine, structure, config) == "wavefront"
+        for size in (1, 6, 64, 100):
+            keys = set()
+            for engine in ("packet", "wavefront", "auto"):
+                request = RenderRequest(scene="train", proxy="tlas+sphere",
+                                        mode="baseline", width=size,
+                                        height=size, engine=engine)
+                assert request.engine_active == "wavefront"
+                keys.add(request.frame_key("h"))
+            assert len(keys) == 1, size
 
     def test_auto_degrades_to_scalar_when_unsupported(self, structures):
         config = TraceConfig(k=4, checkpointing=True)
-        assert resolve_engine("auto", structures["tlas+sphere"], config,
-                              n_rays=WAVEFRONT_MIN_RAYS) == "scalar"
+        assert resolve_engine("auto", structures["tlas+sphere"],
+                              config) == "scalar"
 
     def test_explicit_wavefront_respects_small_batches(self, cloud,
                                                        structures):
-        """engine="wavefront" is explicit — no silent size-based demotion."""
+        """engine="wavefront" traces any batch size, down to one ray."""
         renderer = GaussianRayTracer(cloud, structures["tlas+sphere"],
-                                     TraceConfig(k=4), engine="wavefront",
-                                     n_rays=4)
+                                     TraceConfig(k=4), engine="wavefront")
         assert renderer.engine_active == "wavefront"
+        camera = default_camera_for(cloud, 2, 2)
+        golden = GaussianRayTracer(cloud, structures["tlas+sphere"],
+                                   TraceConfig(k=4)).render(
+                                       camera, keep_traces=False)
+        result = renderer.render(camera, keep_traces=False)
+        assert np.abs(golden.image - result.image).max() <= TOL
 
 
 class TestWavefrontDeployment:
-    def test_tiled_wavefront_equals_tiled_packet(self, cloud, structures):
-        """The scheduler's frame-whole wavefront path re-splits into the
-        same tile grid and assembles the identical image."""
-        from repro.serve import TileScheduler
-
-        camera = default_camera_for(cloud, 12, 12)
-        scheduler = TileScheduler(tile_size=(8, 8))
+    def test_pooled_frame_equals_serial_untiled(self, cloud, structures):
+        """A 64x64 frame fanned out over two pool workers, tile by tile,
+        is bit-identical to the serial untiled render, with exact
+        counters."""
+        camera = default_camera_for(cloud, 64, 64)
         config = TraceConfig(k=4)
-        packet = scheduler.render(cloud, structures["tlas+sphere"], config,
-                                  camera, engine="packet")
-        wavefront = scheduler.render(cloud, structures["tlas+sphere"], config,
-                                     camera, engine="wavefront")
-        assert np.array_equal(packet.image, wavefront.image)
+        structure = structures["tlas+sphere"]
+        whole = GaussianRayTracer(cloud, structure, config,
+                                  engine="wavefront").render(
+                                      camera, keep_traces=False)
+        with TileScheduler(tile_size=(16, 16), workers=2,
+                           start_method="fork") as scheduler:
+            pooled = scheduler.render(cloud, structure, config, camera,
+                                      engine="auto")
+            assert scheduler.pool is not None
+            assert scheduler.pool.stats()["tasks_completed"] >= 16
+        assert np.array_equal(whole.image, pooled.image)
         for name in PARITY_COUNTERS:
-            assert getattr(packet.stats, name) == getattr(
-                wavefront.stats, name), name
+            assert getattr(whole.stats, name) == getattr(
+                pooled.stats, name), name

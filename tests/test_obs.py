@@ -43,7 +43,8 @@ def _bump_counters(n):
 
 
 def _fallback_in_worker(scale):
-    """Worker-side: force an explicit packet-engine degrade."""
+    """Worker-side: force an explicit batched-engine degrade; returns
+    the worker registry's fallback delta."""
     from repro.eval.harness import build_structure_for
     from repro.gaussians import make_workload
     from repro.render import GaussianRayTracer
@@ -51,13 +52,13 @@ def _fallback_in_worker(scale):
 
     cloud = make_workload("train", scale=scale)
     structure = build_structure_for(cloud, "tlas+sphere")
-    config = TraceConfig(k=4, checkpointing=True)  # packet can't checkpoint
+    config = TraceConfig(k=4, checkpointing=True)  # batched can't checkpoint
+    registry = get_registry()
+    before = registry.counter_value("rt.packet_fallbacks")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         GaussianRayTracer(cloud, structure, config, engine="packet")
-    from repro.rt.packet import packet_fallback_count
-
-    return packet_fallback_count()
+    return registry.counter_value("rt.packet_fallbacks") - before
 
 
 # -- histograms ----------------------------------------------------------
@@ -232,20 +233,16 @@ class TestWorkerDeltaRideBack:
         assert registry.histogram("worker.call_seconds").count >= 4
 
     def test_worker_packet_fallback_reaches_parent(self):
-        """Satellite regression: a packet fallback that fires *inside a
-        worker process* must show up in the parent registry (the legacy
-        in-process global provably still misses it)."""
+        """Regression: a batched-engine fallback that fires *inside a
+        worker process* must show up in the parent registry."""
         from repro.pool import WorkerPool
-        from repro.rt.packet import packet_fallback_count, reset_packet_fallbacks
 
-        reset_packet_fallbacks()
         registry = get_registry()
         before = registry.counter_value("rt.packet_fallbacks")
         with WorkerPool(workers=2, start_method="fork") as pool:
             remote = pool.submit(_fallback_in_worker, SCALE).result(timeout=60)
         assert remote >= 1  # the worker really did degrade
-        assert packet_fallback_count() == 0  # ...invisible to the old global
-        assert registry.counter_value("rt.packet_fallbacks") - before >= 1
+        assert registry.counter_value("rt.packet_fallbacks") - before >= remote
 
     def test_pooled_tile_render_ships_tile_timings(self):
         from repro.eval.harness import build_structure_for

@@ -1,13 +1,14 @@
-"""Packet-engine parity (both structure families) and regressions.
+"""Batched-engine parity (both structure families) and regressions.
 
-The packet engine's contract (ISSUEs 2 and 4): for every supported
-proxy/mode combination — monolithic *and* two-level — it renders the
-scalar tracer's image within 1e-9 per channel, and the parity-matched
-functional counters — ``n_rays``, ``blended_total``,
-``rays_terminated_early`` — agree exactly.  Alongside live the
-regression tests for the equal-t hit drop in multiround tracing (tied
-depths must survive k-buffer overflow), the flattened-layout round-trip
-guarantees, engine="auto" resolution, and fallback observability.
+The batched engine's contract, requested here through its ``packet``
+alias: for every supported proxy/mode combination — monolithic *and*
+two-level — it renders the scalar tracer's image within 1e-9 per
+channel, and the parity-matched functional counters — ``n_rays``,
+``blended_total``, ``rays_terminated_early`` — agree exactly.  Alongside
+live the regression tests for the equal-t hit drop in multiround
+tracing (tied depths must survive k-buffer overflow), the
+flattened-layout round-trip guarantees, engine="auto" resolution, and
+fallback observability (the registry counter ``rt.packet_fallbacks``).
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ import pytest
 
 from repro.bvh import build_monolithic, build_two_level, flatten
 from repro.gaussians import GaussianCloud
+from repro.obs import get_registry
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
-from repro.rt.packet import (
-    PacketTracer,
-    packet_fallback_count,
-    packet_supported,
-    reset_packet_fallbacks,
-    resolve_engine,
-)
+from repro.rt import packet as packet_mod
+from repro.rt.packet import packet_supported, resolve_engine
+from repro.rt.wavefront import WavefrontTracer
 from repro.serve import TileScheduler
 
 from tests.conftest import tiny_cloud
@@ -46,6 +44,17 @@ TWO_LEVEL = ["tlas+sphere", "tlas+ico"]
 @pytest.fixture(scope="module")
 def cloud():
     return tiny_cloud(n=120, seed=21)
+
+
+def fallbacks() -> int:
+    """The one fallback count: the registry counter."""
+    return get_registry().counter_value("rt.packet_fallbacks")
+
+
+@pytest.fixture
+def rearmed(monkeypatch):
+    """Re-arm the once-per-reason fallback warnings for one test."""
+    monkeypatch.setattr(packet_mod, "_warned_reasons", set())
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +84,7 @@ def render_pair(cloud, structure, config, res=10, objects=None):
         camera, objects=objects, keep_traces=False)
     packet_renderer = GaussianRayTracer(cloud, structure, config,
                                         engine="packet")
-    assert packet_renderer.engine_active == "packet"
+    assert packet_renderer.engine_active == "wavefront"
     packet = packet_renderer.render(camera, objects=objects, keep_traces=False)
     return scalar, packet
 
@@ -98,7 +107,7 @@ class TestPacketParity:
     @pytest.mark.parametrize("mode", ["multiround", "singleround"])
     def test_parity_with_scene_objects(self, cloud, structures, proxy, mode):
         """Secondary rays (t_clip-truncated primaries + scattered
-        continuations) trace through the packet engine too."""
+        continuations) trace through the batched engine too."""
         objects = SceneObjects.default_for(cloud)
         scalar, packet = render_pair(
             cloud, structures[proxy], TraceConfig(k=4, mode=mode),
@@ -113,7 +122,7 @@ class TestPacketParity:
         config = TraceConfig(k=4)
         shading = SceneShading(cloud)
         scalar = Tracer(structure, shading, config)
-        packet = PacketTracer(structure, shading, config)
+        packet = WavefrontTracer(structure, shading, config)
         bundle = default_camera_for(cloud, 8, 8).generate_rays()
         extent = float(np.linalg.norm(cloud.means.std(axis=0)))
         clip = np.linspace(0.5 * extent, 6.0 * extent,
@@ -148,7 +157,7 @@ class TestPacketParity:
     @pytest.mark.parametrize("proxy", ["20-tri", "tlas+sphere"])
     def test_max_rounds_cap_parity(self, cloud, structures, proxy):
         """The scalar loop blends at most max_rounds * k hits per ray;
-        the packet engine applies the identical cap."""
+        the batched engine applies the identical cap."""
         config = TraceConfig(k=1, max_rounds=3)
         scalar, packet = render_pair(cloud, structures[proxy], config)
         assert_parity(scalar, packet)
@@ -181,10 +190,10 @@ class TestEngineSelection:
         era silently traced every tlas+* scene on the slow path)."""
         renderer = GaussianRayTracer(cloud, structures[proxy],
                                      TraceConfig(k=4), engine="packet")
-        assert renderer.engine_active == "packet"
+        assert renderer.engine_active == "wavefront"
 
-    def test_checkpointing_falls_back_to_scalar(self, cloud, structures):
-        reset_packet_fallbacks()  # re-arm the one-time warning
+    def test_checkpointing_falls_back_to_scalar(self, cloud, structures,
+                                                rearmed):
         config = TraceConfig(k=4, checkpointing=True)
         with pytest.warns(RuntimeWarning, match="falling back"):
             renderer = GaussianRayTracer(cloud, structures["tlas+sphere"],
@@ -192,20 +201,20 @@ class TestEngineSelection:
         assert renderer.engine_active == "scalar"
 
     def test_record_blended_stays_on_packet(self, cloud, structures):
-        """record_blended is packetized: no fallback, and the per-ray
+        """record_blended is batched: no fallback, and the per-ray
         blend lists match the scalar tracer's (same gids in the same
         blend order; alpha/t to float noise)."""
-        reset_packet_fallbacks()
+        before = fallbacks()
         config = TraceConfig(k=4, record_blended=True)
         renderer = GaussianRayTracer(cloud, structures["20-tri"], config,
                                      engine="packet")
-        assert renderer.engine_active == "packet"
-        assert packet_fallback_count() == 0
+        assert renderer.engine_active == "wavefront"
+        assert fallbacks() == before
 
         camera = default_camera_for(cloud, 6, 6)
         bundle = camera.generate_rays()
-        result = renderer.packet.trace_packet(bundle.origins,
-                                              bundle.directions)
+        result = renderer.batched.trace_packet(bundle.origins,
+                                               bundle.directions)
         scalar = Tracer(structures["20-tri"], SceneShading(cloud), config)
         for i in range(len(bundle)):
             outcome = scalar.trace_ray(bundle.origins[i],
@@ -220,12 +229,12 @@ class TestEngineSelection:
     def test_packet_tracer_rejects_unsupported(self, cloud, structures):
         config = TraceConfig(k=4, checkpointing=True)
         assert not packet_supported(structures["tlas+sphere"], config)
-        with pytest.raises(ValueError, match="packet engine"):
-            PacketTracer(structures["tlas+sphere"], SceneShading(cloud),
-                         config)
+        with pytest.raises(ValueError, match="wavefront engine"):
+            WavefrontTracer(structures["tlas+sphere"], SceneShading(cloud),
+                            config)
 
     def test_both_engines_keep_traces(self, cloud, structures):
-        """Per-ray fetch traces come from either engine now; the packet
+        """Per-ray fetch traces come from either engine; the batched
         recorder emits one RayTrace per ray like the scalar loop (deep
         equivalence is covered by tests/test_tracerecord.py)."""
         config = TraceConfig(k=4)
@@ -241,14 +250,14 @@ class TestEngineSelection:
 
 
 class TestAutoEngine:
-    """engine="auto": packet whenever supported, scalar otherwise —
-    silently (no fallback counter, no warning)."""
+    """engine="auto": the batched engine whenever supported, scalar
+    otherwise — silently (no fallback counter, no warning)."""
 
     def test_auto_picks_packet_when_supported(self, cloud, structures):
         for proxy in ALL_PROXIES:
             renderer = GaussianRayTracer(cloud, structures[proxy],
                                          TraceConfig(k=4), engine="auto")
-            assert renderer.engine_active == "packet", proxy
+            assert renderer.engine_active == "wavefront", proxy
 
     def test_auto_picks_scalar_for_checkpointing(self, cloud, structures):
         config = TraceConfig(k=4, checkpointing=True)
@@ -256,12 +265,13 @@ class TestAutoEngine:
                                      config, engine="auto")
         assert renderer.engine_active == "scalar"
 
-    def test_auto_never_counts_a_fallback(self, cloud, structures):
-        reset_packet_fallbacks()
+    def test_auto_never_counts_a_fallback(self, cloud, structures, rearmed):
+        before = fallbacks()
         config = TraceConfig(k=4, checkpointing=True)
-        GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                          engine="auto")
-        assert packet_fallback_count() == 0
+        with warnings_none():
+            GaussianRayTracer(cloud, structures["tlas+sphere"], config,
+                              engine="auto")
+        assert fallbacks() == before
 
     def test_resolve_engine_values(self, structures):
         supported = TraceConfig(k=4)
@@ -269,7 +279,9 @@ class TestAutoEngine:
         assert resolve_engine("scalar", structures["tlas+sphere"],
                               supported) == "scalar"
         assert resolve_engine("auto", structures["tlas+sphere"],
-                              supported) == "packet"
+                              supported) == "wavefront"
+        assert resolve_engine("packet", structures["tlas+sphere"],
+                              supported) == "wavefront"
         assert resolve_engine("auto", structures["tlas+sphere"],
                               unsupported) == "scalar"
         with pytest.raises(ValueError, match="engine"):
@@ -281,8 +293,8 @@ class TestFallbackObservability:
     (once per reason), instead of being invisible to callers."""
 
     def test_explicit_packet_degrade_counts_and_warns_once(
-            self, cloud, structures):
-        reset_packet_fallbacks()
+            self, cloud, structures, rearmed):
+        before = fallbacks()
         config = TraceConfig(k=4, checkpointing=True)
         with pytest.warns(RuntimeWarning, match="scalar-engine-only"):
             GaussianRayTracer(cloud, structures["tlas+sphere"], config,
@@ -291,12 +303,11 @@ class TestFallbackObservability:
         with warnings_none():
             GaussianRayTracer(cloud, structures["tlas+sphere"], config,
                               engine="packet")
-        assert packet_fallback_count() == 2
+        assert fallbacks() - before == 2
 
-    def test_server_exposes_fallback_gauge(self, tmp_path):
+    def test_server_exposes_fallback_gauge(self, tmp_path, rearmed):
         from repro.serve import RenderRequest, RenderServer
 
-        reset_packet_fallbacks()
         with RenderServer(workers=1) as server:
             # mode="grtx" checkpoints, so an explicit packet request
             # degrades; the gauge must reflect it.
@@ -385,7 +396,7 @@ class TestFlattenRoundTrip:
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         flat = flatten(structures[proxy])
-        for engine in ("scalar", "packet"):
+        for engine in ("scalar", "wavefront"):
             src = GaussianRayTracer(cloud, structures[proxy], config,
                                     engine=engine).render(
                                         camera, keep_traces=False)

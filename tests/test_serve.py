@@ -227,6 +227,24 @@ class TestRenderServer:
         assert base.scene_hash != reseeded.scene_hash
         assert server.metrics.rendered == 3
 
+    @pytest.mark.parametrize("first_mode,twin_mode", [
+        ("baseline", "grtx-sw"), ("grtx", "grtx-hw")])
+    def test_mode_twin_is_a_frame_cache_hit(self, first_mode, twin_mode):
+        """Modes with one trace config render the same pixels, so the
+        frame key holds the trace config, not the mode name: the twin
+        is answered from the cache, bit for bit, without a render."""
+        first_request = _request(proxy="tlas+sphere", mode=first_mode)
+        twin_request = _request(proxy="tlas+sphere", mode=twin_mode)
+        assert first_request.trace_config() == twin_request.trace_config()
+        with RenderServer(workers=1) as server:
+            first = server.render(first_request)
+            rendered = server.metrics.rendered
+            twin = server.render(twin_request)
+            assert server.metrics.rendered == rendered
+        assert not first.frame_cache_hit
+        assert twin.frame_cache_hit
+        assert np.array_equal(first.image, twin.image)
+
     def test_batch_dedupes_duplicates(self):
         with RenderServer(workers=1) as server:
             a, b = _request(), _request(k=4)
@@ -359,7 +377,7 @@ class TestTracerReuseCache:
         assert len(keys) == 3
         configs = {(key[3], key[4].checkpointing) for key in keys}
         assert configs == {("scalar", False), ("scalar", True),
-                           ("packet", False)}
+                           ("wavefront", False)}
 
     def test_tracer_reuse_across_frames_of_same_scene(self):
         """Same scene + config at a different frame size reuses the one
@@ -405,7 +423,7 @@ class TestTracerReuseCache:
         auto = _request(proxy="tlas+sphere", mode="baseline", engine="auto")
         packet = _request(proxy="tlas+sphere", mode="baseline",
                           engine="packet")
-        assert auto.engine_active == "packet"
+        assert auto.engine_active == "wavefront"
         assert auto.frame_key("h") == packet.frame_key("h")
         checkpointed = _request(proxy="tlas+sphere", mode="grtx",
                                 engine="auto")
@@ -417,12 +435,12 @@ class TestTracerReuseCache:
         assert second.frame_cache_hit
 
     def test_two_level_packet_request_serves_packet_frames(self):
-        """tlas+sphere (the paper's structure) renders on the packet
+        """tlas+sphere (the paper's structure) renders on the batched
         engine through the whole serving stack, matching a scalar
         server's frame within the parity bound."""
         request = _request(proxy="tlas+sphere", mode="baseline",
                            engine="packet")
-        assert request.engine_active == "packet"
+        assert request.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
             packet = server.render(request)
         with RenderServer(workers=1) as server:

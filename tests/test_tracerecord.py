@@ -152,14 +152,14 @@ class TestTraceEquivalence:
     def test_recorded_result_matches_plain_packet(self, cloud, structures):
         """Recording must not perturb the render: colors and parity
         counters equal the plain packet path bit for bit."""
-        from repro.rt import PacketTracer, SceneShading
+        from repro.rt import SceneShading, WavefrontTracer
 
         config = TraceConfig(k=4)
         shading = SceneShading(cloud)
         camera = default_camera_for(cloud, 8, 8)
         bundle = camera.generate_rays()
         for proxy in STRUCTURES:
-            tracer = PacketTracer(structures[proxy], shading, config)
+            tracer = WavefrontTracer(structures[proxy], shading, config)
             plain = tracer.trace_packet(bundle.origins, bundle.directions)
             recorded, traces = tracer.trace_packet_recorded(
                 bundle.origins, bundle.directions)
